@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import CHECK_NAMES, CheckReport, GenSpec, STRUCTURES, gen_tuple, run_suite
-from .kernel import SpdMatrix, SpdMeansError, SymMatrix
+from .kernel import SYMMETRY_RTOL, SpdMatrix, SpdMeansError, SymMatrix
 from .means import ConvergenceError, MeanKind, SolverConfig, SpdTuple, mean
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
 ]
 
 FORMATS = ("json", "csv")
-
-# File-level symmetry gate, matching the SymMatrix constructor.
-_FILE_SYM_RTOL = 1e-12
 
 
 @dataclass
@@ -79,7 +76,7 @@ def _validate_matrices(dim: int, grids: list, labels) -> MatrixFile:
         if not np.isfinite(a).all():
             raise InputError(f"matrix {i}: entries must be finite")
         scale = float(np.abs(a).max())
-        if float(np.abs(a - a.T).max()) > _FILE_SYM_RTOL * scale:
+        if float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * scale:
             raise InputError(f"matrix {i}: not symmetric within round-off")
         mats.append(a)
     if labels is not None:

@@ -4,8 +4,8 @@ Implements the two-variable weighted geometric mean, the perspective
 construction that lifts a k-variable matrix map to k+1 variables, the
 inductive geometric mean defined through that lift, a variant geometric
 mean with a different updating rule, arithmetic and harmonic means, and
-the Karcher mean solved as a damped fixed-point iteration on the
-vanishing-log-sum equation.
+the Karcher mean, solved on the vanishing-log-sum equation by a plain
+fixed-point update plus Anderson extrapolation, one residual per iterate.
 
 All means act on ordered tuples (order matters for k >= 3), return
 certified SPD matrices, and reduce to the classic two-variable geometric
@@ -15,6 +15,7 @@ mean at k = 2.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -106,7 +107,11 @@ class SpdTuple:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings for the Karcher fixed-point solver."""
+    """Settings for the Karcher fixed-point solver.
+
+    ``step`` scales the step size theta of the plain update
+    ``X^1/2 exp(theta * step * S) X^1/2``; ``init`` picks the starting mean.
+    """
 
     residual_tol: float = 1e-10
     max_iter: int = 500
@@ -181,15 +186,6 @@ def _power_arr(a: np.ndarray, p: float) -> np.ndarray:
     return _sym_part((v * w**p) @ v.T)
 
 
-def _log_arr(a: np.ndarray) -> np.ndarray:
-    w, v = _eigh(a)
-    if w[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"intermediate matrix lost positive definiteness: {w[0]:.3e}"
-        )
-    return _sym_part((v * np.log(w)) @ v.T)
-
-
 def _exp_arr(a: np.ndarray) -> np.ndarray:
     w, v = _eigh(a)
     return _sym_part((v * np.exp(w)) @ v.T)
@@ -230,24 +226,33 @@ def _harmonic_arr(arrs: Sequence[np.ndarray]) -> np.ndarray:
     return _power_arr(_arithmetic_arr([_power_arr(a, -1.0) for a in arrs]), -1.0)
 
 
-def _karcher_state(x: np.ndarray, arrs: Sequence[np.ndarray]):
-    """Sqrt of the iterate, log-sum residual, and its Frobenius norm."""
+def _karcher_state(x: np.ndarray, stack: np.ndarray):
+    """Sqrt of the iterate, log-sum residual, its norm, and log spreads.
+
+    The spread of ``X^-1/2 A_i X^-1/2`` is ``log w_max - log w_min``. One
+    stacked eigendecomposition covers the whole tuple ``stack`` (k, n, n).
+    """
     xs, xis = _sqrt_pair(x)
-    s = np.zeros_like(x)
-    for a in arrs:
-        s += _log_arr(_sandwich(xis, a))
-    return xs, s, float(np.linalg.norm(s))
+    c = xis @ stack @ xis
+    w, v = _eigh((c + c.transpose(0, 2, 1)) * 0.5)
+    if w[:, 0].min() <= 0.0:
+        raise NotPositiveDefiniteError(
+            "intermediate matrix lost positive definiteness: "
+            f"{w[:, 0].min():.3e}"
+        )
+    lw = np.log(w)
+    s = _sym_part(((v * lw[:, None, :]) @ v.transpose(0, 2, 1)).sum(axis=0))
+    return xs, s, float(np.linalg.norm(s)), lw[:, -1] - lw[:, 0]
 
 
-_MAX_HALVINGS = 20
 _ACCEL_DEPTH = 4
 
 
-def _accel_extrapolate(hist_x: list[np.ndarray], hist_f: list[np.ndarray]):
+def _accel_extrapolate(hist_x: deque[np.ndarray], hist_f: deque[np.ndarray]):
     """Anderson-style extrapolation from recent fixed-point iterates.
 
     ``hist_x`` holds flattened iterates and ``hist_f`` the flattened
-    displacements ``g(x) - x`` of the damped update at those iterates.
+    displacements ``g(x) - x`` of the plain update at those iterates.
     Solves a small least-squares problem for the combination of recent
     steps that best cancels the displacement, and returns the flattened
     extrapolated iterate (or ``None`` with fewer than two history
@@ -269,59 +274,55 @@ def _accel_extrapolate(hist_x: list[np.ndarray], hist_f: list[np.ndarray]):
 
 
 def _karcher_arr(arrs: Sequence[np.ndarray], cfg: SolverConfig):
-    """Damped fixed-point solve of ``sum_i log(X^-1/2 A_i X^-1/2) = 0``.
+    """Fixed-point solve of ``sum_i log(X^-1/2 A_i X^-1/2) = 0``.
 
-    Base update: ``X <- X^1/2 exp((step/k) * residual) X^1/2``, with the
-    step halved (at most ``_MAX_HALVINGS`` times per iteration) whenever
-    the full update would increase the residual norm. On top of that,
-    each iteration forms an Anderson-extrapolated candidate from the last
-    few iterates and keeps it only when it is positive definite and
-    strictly beats the damped update's residual; otherwise the damped
-    update is taken unchanged. The plain iteration contracts slowly when
-    the tuple is spread out (its linearization can have modes close to
-    the stability boundary), and the extrapolation removes several error
-    modes at once, so the combination converges in a few dozen iterations
-    where the plain scheme needs thousands.
+    Plain update plus Anderson extrapolation, one residual per iterate.
+    The plain update ``g = X^1/2 exp(theta * step * S) X^1/2`` (``S`` the
+    residual at ``X``) feeds the Anderson history. The extrapolated iterate
+    is kept when it is positive definite with a residual below the current
+    one; otherwise ``g`` is taken. The kept iterate's residual is the one
+    the next update needs. ``theta`` is ``1/k`` until a plain step raises
+    the residual, then the Bini-Iannazzo step from the residual's spectra.
+    The plain update alone contracts slowly on spread-out tuples; the
+    extrapolation removes several error modes at once.
     """
-    k = len(arrs)
+    stack = np.stack(arrs)
     if cfg.init == "arithmetic":
         x = _arithmetic_arr(arrs)
     else:
         x = _inductive_arr(list(arrs))
-    xs, s, r = _karcher_state(x, arrs)
-    hist_x: list[np.ndarray] = []
-    hist_f: list[np.ndarray] = []
+    xs, s, r, spread = _karcher_state(x, stack)
+    adaptive = False
+    hist_x: deque[np.ndarray] = deque(maxlen=_ACCEL_DEPTH + 1)
+    hist_f: deque[np.ndarray] = deque(maxlen=_ACCEL_DEPTH + 1)
     for _ in range(cfg.max_iter):
         if r <= cfg.residual_tol:
             return x, r
-        step = cfg.step
-        for _ in range(_MAX_HALVINGS + 1):
-            cand = _sandwich(xs, _exp_arr(s * (step / k)))
-            cand_xs, cand_s, cand_r = _karcher_state(cand, arrs)
-            if cand_r <= r:
-                break
-            step *= 0.5
+        if adaptive:
+            # Bini-Iannazzo: 2 / sum_i L_i / tanh(L_i / 2) over the log
+            # spreads; each term tends to 2 as L_i -> 0 (floored against 0/0).
+            l = np.maximum(spread, 1e-8)
+            theta = 2.0 / float(np.sum(l / np.tanh(l / 2)))
+        else:
+            theta = 1.0 / len(stack)
+        g = _sandwich(xs, _exp_arr(s * (cfg.step * theta)))
         hist_x.append(x.ravel())
-        hist_f.append(cand.ravel() - x.ravel())
-        if len(hist_x) > _ACCEL_DEPTH + 1:
-            hist_x.pop(0)
-            hist_f.pop(0)
+        hist_f.append(g.ravel() - x.ravel())
         accel = _accel_extrapolate(hist_x, hist_f)
+        state = None
         if accel is not None and np.isfinite(accel).all():
             accel = _sym_part(accel.reshape(x.shape))
             try:
-                accel_xs, accel_s, accel_r = _karcher_state(accel, arrs)
+                state = _karcher_state(accel, stack)
             except SpdMeansError:
                 pass
-            else:
-                if accel_r < cand_r:
-                    cand, cand_xs, cand_s, cand_r = (
-                        accel,
-                        accel_xs,
-                        accel_s,
-                        accel_r,
-                    )
-        x, xs, s, r = cand, cand_xs, cand_s, cand_r
+        if state is not None and state[2] < r:
+            x = accel
+        else:
+            state = _karcher_state(g, stack)
+            adaptive = adaptive or state[2] > r
+            x = g
+        xs, s, r, spread = state
     if r <= cfg.residual_tol:
         return x, r
     raise ConvergenceError(
@@ -426,18 +427,16 @@ def karcher_residual(X: SpdMatrix, t: SpdTuple) -> SymMatrix:
     """
     if X.dim != t.dim:
         raise ShapeError(f"dimension mismatch: {X.dim} != {t.dim}")
-    _, xis = _sqrt_pair(X.entries)
-    s = np.zeros_like(X.entries)
-    for a in t:
-        s += _log_arr(_sandwich(xis, a.entries))
+    _, s, _, _ = _karcher_state(X.entries, np.stack([a.entries for a in t]))
     return SymMatrix._wrap(s)
 
 
 def karcher_mean(t: SpdTuple, cfg: SolverConfig | None = None) -> SpdMatrix:
     """Karcher (Riemannian barycenter) mean of an SPD tuple.
 
-    Solves ``sum_i log(X^-1/2 A_i X^-1/2) = 0`` by a damped fixed-point
-    iteration starting from the arithmetic or inductive mean per ``cfg``.
+    Solves ``sum_i log(X^-1/2 A_i X^-1/2) = 0`` by a plain fixed-point
+    update plus Anderson extrapolation, one residual per iterate, starting
+    from the arithmetic or inductive mean per ``cfg``.
     Raises :class:`ConvergenceError` if ``cfg.max_iter`` updates do not
     bring the Frobenius norm of the residual under ``cfg.residual_tol``.
     """

@@ -26,6 +26,8 @@ from spdmeans import (
     weighted_geometric_2,
 )
 
+from spdmeans.kernel import GeneralMatrix, congruence, inv_sqrt, log_m
+
 from helpers import random_spd, rel_err
 
 
@@ -216,6 +218,28 @@ def test_karcher_convergence_error_carries_state():
     assert exc.iterations == 1
     assert exc.residual_norm > 1e-10
     assert exc.last_iterate.shape == (2, 2)
+
+
+def test_karcher_does_not_diverge_on_ill_conditioned_tuple():
+    # At cond 1e8 this tuple sits at the accuracy floor of a 1e-10 solve;
+    # an unguarded 1/k step drives its residual up to order 10 instead.
+    rng = np.random.default_rng([77, 8, 8, 4])
+    t = SpdTuple([random_spd(rng, 8, cond=1e8) for _ in range(4)])
+    try:
+        karcher_mean(t)
+    except ConvergenceError as exc:
+        assert exc.residual_norm <= 1e-7
+
+
+def test_karcher_residual_matches_per_matrix_oracle():
+    rng = np.random.default_rng(43)
+    t = SpdTuple([random_spd(rng, 5) for _ in range(7)])
+    x = random_spd(rng, 5)
+    c = GeneralMatrix(inv_sqrt(x).entries)
+    oracle = sum(log_m(SpdMatrix(congruence(c, a.base))).entries for a in t)
+    assert rel_err(karcher_residual(x, t).entries, oracle) < 1e-12
+    m = karcher_mean(t, SolverConfig(residual_tol=1e-12))
+    assert np.linalg.norm(karcher_residual(m, t).entries) <= 1e-12
 
 
 def test_solver_config_validation():

@@ -47,9 +47,8 @@ class MatrixFile:
 
 @dataclass
 class RunReport:
-    """What a subcommand did: echo, payload, wall time, exit code."""
+    """What a subcommand did: payload, wall time, exit code."""
 
-    command: str
     wall_ms: float
     exit_code: int
     result: MatrixFile | None = None
@@ -207,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_mean(args: argparse.Namespace, echo: str = "mean") -> RunReport:
+def cmd_mean(args: argparse.Namespace) -> RunReport:
     t0 = time.perf_counter()
     try:
         mf = load_matrix_file(args.input, args.format)
@@ -222,16 +221,14 @@ def cmd_mean(args: argparse.Namespace, echo: str = "mean") -> RunReport:
         result = mean(args.kind, SpdTuple(items), cfg)
         out = MatrixFile(dim=result.dim, matrices=[np.asarray(result.entries)])
         _write_output(render_matrix_file(out, args.format), args.output)
-        return RunReport(command=echo, result=out, exit_code=0,
+        return RunReport(result=out, exit_code=0,
                          wall_ms=(time.perf_counter() - t0) * 1e3)
     except ConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
-        return RunReport(command=echo, exit_code=3,
-                         wall_ms=(time.perf_counter() - t0) * 1e3)
+        return RunReport(exit_code=3, wall_ms=(time.perf_counter() - t0) * 1e3)
     except (SpdMeansError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return RunReport(command=echo, exit_code=2,
-                         wall_ms=(time.perf_counter() - t0) * 1e3)
+        return RunReport(exit_code=2, wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
 def _report_line(r: CheckReport) -> str:
@@ -240,7 +237,7 @@ def _report_line(r: CheckReport) -> str:
             f"worst_violation={r.worst_violation:.6e} witness_seed={witness}")
 
 
-def cmd_check(args: argparse.Namespace, echo: str = "check") -> RunReport:
+def cmd_check(args: argparse.Namespace) -> RunReport:
     t0 = time.perf_counter()
     try:
         suite = list(CHECK_NAMES) if args.suite == "all" else [
@@ -258,15 +255,14 @@ def cmd_check(args: argparse.Namespace, echo: str = "check") -> RunReport:
         failed = sum(r.failures > 0 for r in reports)
         code = 1 if failed else 0
         print(f"{len(reports)} checks, {failed} failed")
-        return RunReport(command=echo, reports=reports, exit_code=code,
+        return RunReport(reports=reports, exit_code=code,
                          wall_ms=(time.perf_counter() - t0) * 1e3)
     except (SpdMeansError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return RunReport(command=echo, exit_code=2,
-                         wall_ms=(time.perf_counter() - t0) * 1e3)
+        return RunReport(exit_code=2, wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
-def cmd_gen(args: argparse.Namespace, echo: str = "gen") -> RunReport:
+def cmd_gen(args: argparse.Namespace) -> RunReport:
     t0 = time.perf_counter()
     try:
         spec = GenSpec(dim=args.dim, k=args.k, seed=args.seed,
@@ -275,12 +271,11 @@ def cmd_gen(args: argparse.Namespace, echo: str = "gen") -> RunReport:
         out = MatrixFile(dim=spec.dim,
                          matrices=[np.asarray(a.entries) for a in t])
         _write_output(render_matrix_file(out, args.format), args.output)
-        return RunReport(command=echo, result=out, exit_code=0,
+        return RunReport(result=out, exit_code=0,
                          wall_ms=(time.perf_counter() - t0) * 1e3)
     except (SpdMeansError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return RunReport(command=echo, exit_code=2,
-                         wall_ms=(time.perf_counter() - t0) * 1e3)
+        return RunReport(exit_code=2, wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
 _COMMANDS = {"mean": cmd_mean, "check": cmd_check, "gen": cmd_gen}
@@ -288,8 +283,7 @@ _COMMANDS = {"mean": cmd_mean, "check": cmd_check, "gen": cmd_gen}
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    echo = " ".join(argv if argv is not None else sys.argv[1:])
-    return _COMMANDS[args.command](args, echo).exit_code
+    return _COMMANDS[args.command](args).exit_code
 
 
 if __name__ == "__main__":

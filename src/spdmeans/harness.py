@@ -20,13 +20,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import SpdMatrix, SymMatrix, _eigh, _eigvalsh, _sym_part, inverse
+from .kernel import (SpdMatrix, SymMatrix, congruence_arr, eigvalsh, inverse,
+                     power, power_arr, rebuild)
 from .means import (
     ConvergenceError,
     MeanKind,
     RegularMap,
     SpdTuple,
-    _sandwich,
     arithmetic_mean,
     harmonic_mean,
     inductive_auxiliary,
@@ -34,7 +34,6 @@ from .means import (
     karcher_mean,
     karcher_residual,
     mean,
-    power,
     variant_auxiliary,
     variant_mean,
     weighted_geometric_2,
@@ -151,7 +150,7 @@ def _draw_eigs(seed: int, dim: int, cond: float, tag: str) -> np.ndarray:
 def _spd_entries(seed: int, dim: int, cond: float, tag: str) -> np.ndarray:
     lam = _draw_eigs(seed, dim, cond, tag)
     q = _random_orthogonal(_stream(seed, f"{tag}/basis"), dim)
-    return _sym_part((q * lam) @ q.T)
+    return rebuild(q, lam)
 
 
 def _gen_items(spec: GenSpec, prefix: str = "item") -> list[SpdMatrix]:
@@ -164,16 +163,21 @@ def _gen_items(spec: GenSpec, prefix: str = "item") -> list[SpdMatrix]:
 
 
 def _commuting_parts(spec: GenSpec):
-    """Shared basis, per-item eigenvalue rows, and the certified items."""
+    """Shared basis, per-item eigenvalue rows, and the certified tuple."""
     q = _random_orthogonal(_stream(spec.seed, "item0/basis"), spec.dim)
     lams = np.stack([
         _draw_eigs(spec.seed, spec.dim, spec.cond_bound, f"item{i}")
         for i in range(spec.k)
     ])
-    items = [
-        SpdMatrix(SymMatrix._wrap(_sym_part((q * lam) @ q.T))) for lam in lams
-    ]
-    return q, lams, items
+    return q, lams, _spd_tuple(rebuild(q, lams))
+
+
+def _spd_tuple(stack: np.ndarray) -> SpdTuple:
+    return SpdTuple([SpdMatrix(SymMatrix._wrap(a)) for a in stack])
+
+
+def _entries(t: SpdTuple) -> np.ndarray:
+    return np.stack([a.entries for a in t])
 
 
 def _block_sizes(dim: int) -> tuple[int, int]:
@@ -200,8 +204,7 @@ def gen_tuple(spec: GenSpec) -> SpdTuple:
     if spec.structure == "generic":
         return SpdTuple(_gen_items(spec))
     if spec.structure == "commuting":
-        _, _, items = _commuting_parts(spec)
-        return SpdTuple(items)
+        return _commuting_parts(spec)[2]
     d1, d2 = _block_sizes(spec.dim)
     xs = _gen_items(replace(spec, dim=d1), "xitem")
     ys = _gen_items(replace(spec, dim=d2), "yitem")
@@ -222,7 +225,7 @@ def _absmax(a: np.ndarray) -> float:
 def _loewner_violation(small: np.ndarray, large: np.ndarray, tol: float) -> float:
     """Signed violation of ``small <= large`` in the Loewner order."""
     scale = 1.0 + max(_absmax(small), _absmax(large))
-    return -float(_eigvalsh(large - small)[0]) / scale - tol
+    return -float(eigvalsh(large - small)[0]) / scale - tol
 
 
 def _releq_violation(actual: np.ndarray, expected: np.ndarray, tol: float) -> float:
@@ -294,12 +297,7 @@ def check_concavity(kind: MeanKind | str, spec: GenSpec,
         tb = SpdTuple(_gen_items(sub, "second"))
         lam = float(_stream(sub.seed, "lambda").uniform(0.0, 1.0))
         combo = lam * mean(kind, ta).entries + (1.0 - lam) * mean(kind, tb).entries
-        mixed = SpdTuple([
-            SpdMatrix(SymMatrix._wrap(
-                lam * a.entries + (1.0 - lam) * b.entries
-            ))
-            for a, b in zip(ta, tb)
-        ])
+        mixed = _spd_tuple(lam * _entries(ta) + (1.0 - lam) * _entries(tb))
         return _loewner_violation(combo, mean(kind, mixed).entries, tol)
 
     return _sweep(f"concavity[{kind.value}]", spec, trials, trial)
@@ -324,12 +322,9 @@ def check_congruence(kind: MeanKind | str, spec: GenSpec,
             if abs(np.linalg.det(c)) >= 1e-6:
                 break
         m0 = mean(kind, t).entries
-        conj = SpdTuple([
-            SpdMatrix(SymMatrix._wrap(_sym_part(c.T @ a.entries @ c)))
-            for a in t
-        ])
+        conj = _spd_tuple(congruence_arr(c, _entries(t)))
         return _releq_violation(
-            mean(kind, conj).entries, _sym_part(c.T @ m0 @ c), tol
+            mean(kind, conj).entries, congruence_arr(c, m0), tol
         )
 
     return _sweep(f"congruence[{kind.value}]", spec, trials, trial)
@@ -375,10 +370,8 @@ def check_determinant(kind: MeanKind | str, spec: GenSpec,
 
     def trial(sub: GenSpec) -> float:
         t = gen_tuple(sub)
-        ld_target = float(np.mean([
-            np.log(_eigvalsh(a.entries)).sum() for a in t
-        ]))
-        ld_actual = float(np.log(_eigvalsh(mean(kind, t).entries)).sum())
+        ld_target = float(np.log(eigvalsh(_entries(t))).sum()) / len(t)
+        ld_actual = float(np.log(eigvalsh(mean(kind, t).entries)).sum())
         return abs(math.expm1(ld_actual - ld_target)) - tol
 
     return _sweep(f"determinant[{kind.value}]", spec, trials, trial)
@@ -460,7 +453,7 @@ def check_block_regularity(kind: MeanKind | str, spec: GenSpec,
 def _contraction(sub: GenSpec) -> np.ndarray:
     """Random square matrix rescaled to top singular value 0.9."""
     g = _stream(sub.seed, "contraction").standard_normal((sub.dim, sub.dim))
-    smax = math.sqrt(float(_eigvalsh(g.T @ g)[-1]))
+    smax = math.sqrt(float(eigvalsh(g.T @ g)[-1]))
     return g * (0.9 / smax)
 
 
@@ -478,11 +471,8 @@ def check_jensen_contraction(F: RegularMap, spec: GenSpec,
     def trial(sub: GenSpec) -> float:
         t = gen_tuple(sub)
         c = _contraction(sub)
-        lhs = _sym_part(c.T @ F.fn(t).entries @ c)
-        conj = SpdTuple([
-            SpdMatrix(SymMatrix._wrap(_sym_part(c.T @ a.entries @ c)))
-            for a in t
-        ])
+        lhs = congruence_arr(c, F.fn(t).entries)
+        conj = _spd_tuple(congruence_arr(c, _entries(t)))
         return _loewner_violation(lhs, F.fn(conj).entries, tol)
 
     return _sweep(name, spec, trials, trial)
@@ -503,15 +493,11 @@ def check_jensen_pair(F: RegularMap, spec: GenSpec,
         ta = gen_tuple(sub)
         tb = SpdTuple(_gen_items(sub, "second"))
         x = _contraction(sub)
-        w, v = _eigh(np.eye(sub.dim) - x.T @ x)
-        y = _sym_part((v * np.sqrt(w)) @ v.T)
-        lhs = _sym_part(x.T @ F.fn(ta).entries @ x) + _sandwich(y, F.fn(tb).entries)
-        combo = SpdTuple([
-            SpdMatrix(SymMatrix._wrap(
-                _sym_part(x.T @ a.entries @ x) + _sandwich(y, b.entries)
-            ))
-            for a, b in zip(ta, tb)
-        ])
+        y = power_arr(np.eye(sub.dim) - x.T @ x, 0.5)
+        lhs = (congruence_arr(x, F.fn(ta).entries)
+               + congruence_arr(y, F.fn(tb).entries))
+        combo = _spd_tuple(
+            congruence_arr(x, _entries(ta)) + congruence_arr(y, _entries(tb)))
         return _loewner_violation(lhs, F.fn(combo).entries, tol)
 
     return _sweep(name, spec, trials, trial)
@@ -528,8 +514,8 @@ def check_commuting(kind: MeanKind | str, spec: GenSpec,
 
     def trial(sub: GenSpec) -> float:
         q, lams, items = _commuting_parts(sub)
-        m = mean(kind, SpdTuple(items)).entries
-        oracle = _sym_part((q * scalar_mean(kind, lams)) @ q.T)
+        m = mean(kind, items).entries
+        oracle = rebuild(q, scalar_mean(kind, lams))
         return _releq_violation(m, oracle, tol)
 
     return _sweep(f"commuting[{kind.value}]", spec, trials, trial)

@@ -4,6 +4,13 @@ Value types certify their invariants once at construction (exact symmetry,
 finite entries, positive definiteness) and are immutable afterwards. All
 operations are pure functions built on the symmetric eigendecomposition:
 ``f(A) = U f(L) U^T`` where ``A = U L U^T``.
+
+The package's one array-level spectral core lives here too: functions on
+float64 arrays of shape ``(..., n, n)``, one matrix or a stack alike, that
+symmetrize, solve (checking positive definiteness over the whole stack),
+rebuild ``V f(w) V^T`` by matmul, and form powers, logs, exponentials,
+square-root pairs and congruences, all exactly symmetric. The value types
+wrap it at the public functions only.
 """
 
 from __future__ import annotations
@@ -118,7 +125,7 @@ class SymMatrix:
                 f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|entry|"
                 f" = {SYMMETRY_RTOL * scale:.3e}"
             )
-        a = (a + a.T) * 0.5
+        a = sym_part(a)
         a.setflags(write=False)
         self.entries = a
 
@@ -159,7 +166,7 @@ class SpdMatrix:
         base = values if isinstance(values, SymMatrix) else SymMatrix(values)
         if tol is None:
             tol = default_spd_tol(base.entries)
-        witness = float(_eigvalsh(base.entries)[0])
+        witness = float(eigvalsh(base.entries)[0])
         if witness <= tol:
             raise NotPositiveDefiniteError(
                 f"smallest eigenvalue {witness:.6e} not above tolerance {tol:.3e}"
@@ -168,10 +175,12 @@ class SpdMatrix:
         self.min_eig_witness = witness
 
     @classmethod
-    def _with_witness(cls, base: SymMatrix, witness: float) -> "SpdMatrix":
-        # Trusted path for results whose spectrum was just computed, e.g.
-        # spectral ops where the witness is min f(eigenvalues). Still holds
-        # the certified invariant: witness must beat the default floor.
+    def _from_spectrum(cls, v: np.ndarray, fw: np.ndarray) -> "SpdMatrix":
+        # Trusted path for ``V diag(fw) V^T`` with V orthonormal: its
+        # smallest eigenvalue is min(fw), no second solve needed. Still
+        # holds the certified invariant: it must beat the default floor.
+        base = SymMatrix._wrap(rebuild(v, fw))
+        witness = float(fw.min())
         if witness <= default_spd_tol(base.entries):
             raise NotPositiveDefiniteError(
                 f"smallest eigenvalue {witness:.6e} not above tolerance "
@@ -224,28 +233,76 @@ class EigenDecomposition:
     values: np.ndarray
 
 
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# ---------------------------------------------------------------------------
+# array-level spectral core: float64 arrays of shape (..., n, n)
+# ---------------------------------------------------------------------------
+
+def sym_part(a: np.ndarray) -> np.ndarray:
+    """``(a + a^T) / 2`` over the last two axes; exactly symmetric in IEEE."""
+    return (a + a.swapaxes(-1, -2)) * 0.5
+
+
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvector columns of a symmetric stack."""
     try:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric stack."""
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def _sym_part(a: np.ndarray) -> np.ndarray:
-    # (a + a.T)/2 is exactly symmetric in IEEE arithmetic.
-    return (a + a.T) * 0.5
+def eigh_pd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eigh`, raising unless every member of the stack is PD."""
+    w, v = eigh(a)
+    # one matrix: index, since a reduction call costs ~1 us at harness sizes
+    lowest = w[..., 0].min() if w.ndim > 1 else w[0]
+    if lowest <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"matrix lost positive definiteness: eigenvalue {lowest:.3e}"
+        )
+    return w, v
 
 
-def _rebuild(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Assemble ``V diag(values) V^T``, symmetrized."""
-    return _sym_part((vectors * values) @ vectors.T)
+def rebuild(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """``V diag(fw) V^T`` for each member of the stack, exactly symmetric."""
+    return sym_part((v * fw[..., None, :]) @ v.swapaxes(-1, -2))
+
+
+def power_arr(a: np.ndarray, p: float) -> np.ndarray:
+    """``a**p`` of a positive definite stack."""
+    w, v = eigh_pd(a)
+    return rebuild(v, w**p)
+
+
+def log_arr(a: np.ndarray) -> np.ndarray:
+    """Matrix logarithm of a positive definite stack."""
+    w, v = eigh_pd(a)
+    return rebuild(v, np.log(w))
+
+
+def exp_arr(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a symmetric stack."""
+    w, v = eigh(a)
+    return rebuild(v, np.exp(w))
+
+
+def sqrt_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Square root and inverse square root from one eigendecomposition."""
+    w, v = eigh_pd(a)
+    sw = np.sqrt(w)
+    return rebuild(v, sw), rebuild(v, 1.0 / sw)
+
+
+def congruence_arr(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``c^T a c`` for a symmetric stack ``a``, exactly symmetric."""
+    return sym_part(c.swapaxes(-1, -2) @ a @ c)
 
 
 def sym_eigen(A: SymMatrix) -> EigenDecomposition:
@@ -256,7 +313,7 @@ def sym_eigen(A: SymMatrix) -> EigenDecomposition:
     ``ORTHO_TOL`` and reconstruction within ``RECON_TOL`` relative to
     max|entry|; a basis failing either check raises ``EigenSolverError``.
     """
-    w, v = _eigh(A.entries)
+    w, v = eigh(A.entries)
     n = A.dim
     ortho = float(np.abs(v.T @ v - np.eye(n)).max())
     if ortho > ORTHO_TOL:
@@ -301,24 +358,13 @@ def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
     if not np.isfinite(out).all():
         bad = float(dec.values[~np.isfinite(out)][0])
         raise DomainError(f"f evaluated non-finite at eigenvalue {bad!r}")
-    return SymMatrix._wrap(_rebuild(dec.vectors, out))
-
-
-def _spectral_spd(A: SpdMatrix, fn) -> SpdMatrix:
-    """Vectorized spectral transform whose image is strictly positive."""
-    w, v = _eigh(A.entries)
-    if w[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"matrix lost positive definiteness: eigenvalue {w[0]:.3e}"
-        )
-    fw = fn(w)
-    base = SymMatrix._wrap(_rebuild(v, fw))
-    return SpdMatrix._with_witness(base, float(fw.min()))
+    return SymMatrix._wrap(rebuild(dec.vectors, out))
 
 
 def power(A: SpdMatrix, p: float) -> SpdMatrix:
     """Matrix power ``A**p`` for real ``p`` via the functional calculus."""
-    return _spectral_spd(A, lambda w: w**p)
+    w, v = eigh_pd(A.entries)
+    return SpdMatrix._from_spectrum(v, w**p)
 
 
 def sqrt(A: SpdMatrix) -> SpdMatrix:
@@ -338,34 +384,27 @@ def inverse(A: SpdMatrix) -> SpdMatrix:
 
 def log_m(A: SpdMatrix) -> SymMatrix:
     """Matrix logarithm of an SPD matrix (symmetric, any signature)."""
-    w, v = _eigh(A.entries)
-    if w[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"matrix lost positive definiteness: eigenvalue {w[0]:.3e}"
-        )
-    return SymMatrix._wrap(_rebuild(v, np.log(w)))
+    return SymMatrix._wrap(log_arr(A.entries))
 
 
 def exp_m(S: SymMatrix) -> SpdMatrix:
     """Matrix exponential of a symmetric matrix; the result is SPD."""
-    w, v = _eigh(S.entries)
-    fw = np.exp(w)
-    base = SymMatrix._wrap(_rebuild(v, fw))
-    return SpdMatrix._with_witness(base, float(fw.min()))
+    w, v = eigh(S.entries)
+    return SpdMatrix._from_spectrum(v, np.exp(w))
 
 
 def congruence(C: GeneralMatrix, A: SymMatrix) -> SymMatrix:
     """Congruence transform ``C^T A C``, exactly symmetrized."""
     if C.dim != A.dim:
         raise ShapeError(f"dimension mismatch: C is {C.dim}, A is {A.dim}")
-    return SymMatrix._wrap(_sym_part(C.entries.T @ A.entries @ C.entries))
+    return SymMatrix._wrap(congruence_arr(C.entries, A.entries))
 
 
 def loewner_leq(A: SymMatrix, B: SymMatrix, tol: float) -> bool:
     """Loewner order test: ``A <= B`` iff ``lambda_min(B - A) >= -tol``."""
     if A.dim != B.dim:
         raise ShapeError(f"dimension mismatch: A is {A.dim}, B is {B.dim}")
-    w = _eigvalsh(B.entries - A.entries)
+    w = eigvalsh(B.entries - A.entries)
     return bool(w[0] >= -tol)
 
 
@@ -376,4 +415,4 @@ def is_spd(A: SymMatrix, tol: float | None = None) -> bool:
     """
     if tol is None:
         tol = default_spd_tol(A.entries)
-    return bool(_eigvalsh(A.entries)[0] > tol)
+    return bool(eigvalsh(A.entries)[0] > tol)

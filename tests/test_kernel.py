@@ -26,6 +26,8 @@ from spdmeans import (
     sym_eigen,
 )
 
+from spdmeans.kernel import exp_arr, log_arr, power_arr, sqrt_pair
+
 from helpers import random_spd, rel_err
 
 
@@ -227,3 +229,34 @@ def test_entries_are_read_only():
     dec = sym_eigen(a.base)
     with pytest.raises(ValueError):
         dec.values[0] = 0.0
+
+
+def test_core_matches_public_functions_on_stacks_and_matrices():
+    rng = np.random.default_rng(29)
+    spd = [random_spd(rng, 4) for _ in range(5)]
+    sym = [SymMatrix((lambda m: (m + m.T) / 2)(rng.standard_normal((4, 4))))
+           for _ in range(5)]
+    cases = [
+        (lambda a: power_arr(a, 0.3), lambda m: power(m, 0.3), spd),
+        (log_arr, log_m, spd),
+        (exp_arr, exp_m, sym),
+        (lambda a: sqrt_pair(a)[0], sqrt, spd),
+        (lambda a: sqrt_pair(a)[1], inv_sqrt, spd),
+    ]
+    for core, public, members in cases:
+        stack = np.stack([m.entries for m in members])
+        expected = np.stack([public(m).entries for m in members])
+        for arr, want in ((stack, expected), (stack[2], expected[2])):
+            out = core(arr)
+            assert out.shape == arr.shape
+            assert rel_err(out, want) < 1e-12
+            assert np.array_equal(out, out.swapaxes(-1, -2))
+
+
+def test_core_rejects_stack_with_one_non_pd_member():
+    rng = np.random.default_rng(30)
+    stack = np.stack([random_spd(rng, 3).entries for _ in range(4)])
+    stack[2] = np.diag([1.0, -1e-3, 2.0])
+    for core in (lambda a: power_arr(a, 0.5), log_arr, sqrt_pair):
+        with pytest.raises(NotPositiveDefiniteError):
+            core(stack)

@@ -26,7 +26,7 @@ from spdmeans import (
     weighted_geometric_2,
 )
 
-from spdmeans.kernel import GeneralMatrix, congruence, inv_sqrt, log_m
+from spdmeans.kernel import GeneralMatrix, congruence, inv_sqrt, log_m, sqrt
 
 from helpers import random_spd, rel_err
 
@@ -116,6 +116,37 @@ def test_inductive_equals_weighted_fold():
             g = weighted_geometric_2(g, items[j], 1.0 / (j + 1))
         direct = inductive_mean(SpdTuple(items))
         assert rel_err(direct.entries, g.entries) < 1e-10
+
+
+def defining_recursion(items, variant):
+    """The paper's recursions, built from public per-matrix functions only.
+
+    Inductive: ``G_k = A_k^1/2 G_{k-1}(A_k^-1/2 A_i A_k^-1/2)^p A_k^1/2``;
+    variant: ``H_k = A_k^1/2 H_{k-1}((A_k^-1/2 A_i A_k^-1/2)^p) A_k^1/2``,
+    both with ``p = (k-1)/k``.
+    """
+    k = len(items)
+    if k == 1:
+        return items[0]
+    b, p = items[-1], (k - 1) / k
+    bis = GeneralMatrix(inv_sqrt(b).entries)
+    conj = [SpdMatrix(congruence(bis, a.base)) for a in items[:-1]]
+    if variant:
+        inner = defining_recursion([power(a, p) for a in conj], True)
+    else:
+        inner = power(defining_recursion(conj, False), p)
+    return SpdMatrix(congruence(GeneralMatrix(sqrt(b).entries), inner.base))
+
+
+@pytest.mark.parametrize("kind", ["inductive", "variant"])
+def test_means_match_defining_recursion(kind):
+    rng = np.random.default_rng(51)
+    for n in (2, 3, 4, 5):
+        for k in (2, 3, 4, 5, 6):
+            items = [random_spd(rng, n) for _ in range(k)]
+            oracle = defining_recursion(items, kind == "variant")
+            assert rel_err(mean(kind, SpdTuple(items)).entries,
+                           oracle.entries) < 1e-10
 
 
 # -- variant mean ------------------------------------------------------------
@@ -229,6 +260,25 @@ def test_karcher_does_not_diverge_on_ill_conditioned_tuple():
         karcher_mean(t)
     except ConvergenceError as exc:
         assert exc.residual_norm <= 1e-7
+
+
+def test_karcher_convergence_error_reports_best_iterate():
+    # The residual is not monotone near the accuracy floor; the error must
+    # report the lowest residual seen, so more iterations never report worse.
+    rng = np.random.default_rng([77, 8, 8, 4])
+    t = SpdTuple([random_spd(rng, 8, cond=1e8) for _ in range(4)])
+    reported = []
+    for max_iter in (100, 200, 300, 400, 500):
+        try:
+            m = karcher_mean(t, SolverConfig(max_iter=max_iter))
+        except ConvergenceError as exc:
+            x = SpdMatrix(exc.last_iterate)
+            assert np.linalg.norm(karcher_residual(x, t).entries) == \
+                exc.residual_norm
+            reported.append(exc.residual_norm)
+        else:
+            reported.append(np.linalg.norm(karcher_residual(m, t).entries))
+    assert all(b <= a for a, b in zip(reported, reported[1:])), reported
 
 
 def test_karcher_residual_matches_per_matrix_oracle():

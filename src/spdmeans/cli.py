@@ -1,5 +1,10 @@
 """Command-line interface: compute means, run checks, generate test data.
 
+Input files pass one gate, :func:`parse_matrix_text` (shape, finite
+entries, symmetry within ``SYMMETRY_RTOL``); ``mean`` then certifies the
+matrices as one stack with :func:`spdmeans.kernel.certify`, so a matrix that
+is not positive definite is reported by its index in the file.
+
 Exit codes: 0 success (and all checks passed), 1 at least one check
 failed, 2 bad input (flags, files, non-SPD matrices), 3 the Karcher
 solver did not converge.
@@ -10,19 +15,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .harness import CHECK_NAMES, CheckReport, GenSpec, STRUCTURES, gen_tuple, run_suite
-from .kernel import SYMMETRY_RTOL, SpdMatrix, SpdMeansError, SymMatrix
+from .kernel import SYMMETRY_RTOL, SpdMeansError, certify, sym_part
 from .means import ConvergenceError, MeanKind, SolverConfig, SpdTuple, mean
 
 __all__ = [
     "MatrixFile",
-    "RunReport",
     "parse_matrix_text",
     "render_matrix_file",
     "load_matrix_file",
@@ -43,16 +46,6 @@ class MatrixFile:
     dim: int
     matrices: list[np.ndarray]
     labels: list[str] | None = None
-
-
-@dataclass
-class RunReport:
-    """What a subcommand did: payload, wall time, exit code."""
-
-    wall_ms: float
-    exit_code: int
-    result: MatrixFile | None = None
-    reports: list[CheckReport] = field(default_factory=list)
 
 
 class InputError(SpdMeansError):
@@ -178,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument("--tol", type=float, default=1e-10,
                         help="Karcher residual tolerance")
     p_mean.add_argument("--max-iter", type=int, default=500)
-    p_mean.add_argument("--init", default="arithmetic",
-                        choices=("arithmetic", "inductive"))
 
     p_check = sub.add_parser("check", help="run randomized property checks")
     p_check.add_argument("--suite", default="all",
@@ -206,29 +197,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_mean(args: argparse.Namespace) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_mean(args: argparse.Namespace) -> int:
     try:
         mf = load_matrix_file(args.input, args.format)
-        items = []
-        for i, grid in enumerate(mf.matrices):
-            try:
-                items.append(SpdMatrix(SymMatrix(grid)))
-            except SpdMeansError as exc:
-                raise InputError(f"matrix {i}: {exc}") from exc
-        cfg = SolverConfig(residual_tol=args.tol, max_iter=args.max_iter,
-                           init=args.init)
+        items = certify(sym_part(np.stack(mf.matrices)))
+        cfg = SolverConfig(residual_tol=args.tol, max_iter=args.max_iter)
         result = mean(args.kind, SpdTuple(items), cfg)
         out = MatrixFile(dim=result.dim, matrices=[np.asarray(result.entries)])
         _write_output(render_matrix_file(out, args.format), args.output)
-        return RunReport(result=out, exit_code=0,
-                         wall_ms=(time.perf_counter() - t0) * 1e3)
+        return 0
     except ConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
-        return RunReport(exit_code=3, wall_ms=(time.perf_counter() - t0) * 1e3)
+        return 3
     except (SpdMeansError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return RunReport(exit_code=2, wall_ms=(time.perf_counter() - t0) * 1e3)
+        return 2
 
 
 def _report_line(r: CheckReport) -> str:
@@ -237,8 +220,7 @@ def _report_line(r: CheckReport) -> str:
             f"worst_violation={r.worst_violation:.6e} witness_seed={witness}")
 
 
-def cmd_check(args: argparse.Namespace) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_check(args: argparse.Namespace) -> int:
     try:
         suite = list(CHECK_NAMES) if args.suite == "all" else [
             s.strip() for s in args.suite.split(",") if s.strip()
@@ -253,17 +235,14 @@ def cmd_check(args: argparse.Namespace) -> RunReport:
         for r in reports:
             print(_report_line(r))
         failed = sum(r.failures > 0 for r in reports)
-        code = 1 if failed else 0
         print(f"{len(reports)} checks, {failed} failed")
-        return RunReport(reports=reports, exit_code=code,
-                         wall_ms=(time.perf_counter() - t0) * 1e3)
+        return 1 if failed else 0
     except (SpdMeansError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return RunReport(exit_code=2, wall_ms=(time.perf_counter() - t0) * 1e3)
+        return 2
 
 
-def cmd_gen(args: argparse.Namespace) -> RunReport:
-    t0 = time.perf_counter()
+def cmd_gen(args: argparse.Namespace) -> int:
     try:
         spec = GenSpec(dim=args.dim, k=args.k, seed=args.seed,
                        cond_bound=args.cond, structure=args.structure)
@@ -271,11 +250,10 @@ def cmd_gen(args: argparse.Namespace) -> RunReport:
         out = MatrixFile(dim=spec.dim,
                          matrices=[np.asarray(a.entries) for a in t])
         _write_output(render_matrix_file(out, args.format), args.output)
-        return RunReport(result=out, exit_code=0,
-                         wall_ms=(time.perf_counter() - t0) * 1e3)
+        return 0
     except (SpdMeansError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return RunReport(exit_code=2, wall_ms=(time.perf_counter() - t0) * 1e3)
+        return 2
 
 
 _COMMANDS = {"mean": cmd_mean, "check": cmd_check, "gen": cmd_gen}
@@ -283,7 +261,7 @@ _COMMANDS = {"mean": cmd_mean, "check": cmd_check, "gen": cmd_gen}
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args).exit_code
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

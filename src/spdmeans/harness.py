@@ -7,6 +7,11 @@ trial. Failures carry a witness seed: rerunning the same check with
 exactly, because trial t of seed s is trial 0 of the derived seed
 ``(s + t * 0x9E3779B97F4A7C15) mod 2^64``.
 
+Every tuple a check draws or derives (perturbed, mixed, conjugated,
+inverted, extended, block-diagonal, Jensen-combined) is built as one
+``(k, n, n)`` stack and certified by one :func:`spdmeans.kernel.certify`
+call.
+
 Loewner comparisons are scaled by ``1 + max|entry|`` of the operands;
 equality comparisons use the relative max-norm.
 """
@@ -20,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import (SpdMatrix, SymMatrix, congruence_arr, eigvalsh, inverse,
+from .kernel import (SpdMatrix, certify, congruence_arr, eigvalsh, inverse,
                      power, power_arr, rebuild)
 from .means import (
     ConvergenceError,
@@ -153,13 +158,11 @@ def _spd_entries(seed: int, dim: int, cond: float, tag: str) -> np.ndarray:
     return rebuild(q, lam)
 
 
-def _gen_items(spec: GenSpec, prefix: str = "item") -> list[SpdMatrix]:
-    return [
-        SpdMatrix(SymMatrix._wrap(
-            _spd_entries(spec.seed, spec.dim, spec.cond_bound, f"{prefix}{i}")
-        ))
+def _gen_items(spec: GenSpec, prefix: str = "item") -> SpdTuple:
+    return SpdTuple(certify(np.stack([
+        _spd_entries(spec.seed, spec.dim, spec.cond_bound, f"{prefix}{i}")
         for i in range(spec.k)
-    ]
+    ])))
 
 
 def _commuting_parts(spec: GenSpec):
@@ -169,11 +172,7 @@ def _commuting_parts(spec: GenSpec):
         _draw_eigs(spec.seed, spec.dim, spec.cond_bound, f"item{i}")
         for i in range(spec.k)
     ])
-    return q, lams, _spd_tuple(rebuild(q, lams))
-
-
-def _spd_tuple(stack: np.ndarray) -> SpdTuple:
-    return SpdTuple([SpdMatrix(SymMatrix._wrap(a)) for a in stack])
+    return q, lams, SpdTuple(certify(rebuild(q, lams)))
 
 
 def _entries(t: SpdTuple) -> np.ndarray:
@@ -185,33 +184,33 @@ def _block_sizes(dim: int) -> tuple[int, int]:
 
 
 def _assemble_block(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    d1, d2 = x.shape[0], y.shape[0]
-    out = np.zeros((d1 + d2, d1 + d2))
-    out[:d1, :d1] = x
-    out[d1:, d1:] = y
+    """Block-diagonal ``diag(x, y)``, member by member for stacks."""
+    d1, d2 = x.shape[-1], y.shape[-1]
+    out = np.zeros(x.shape[:-2] + (d1 + d2, d1 + d2))
+    out[..., :d1, :d1] = x
+    out[..., d1:, d1:] = y
     return out
 
 
+def _block_parts(spec: GenSpec, d1: int, d2: int):
+    """The two diagonal-block tuples and the certified block-diagonal tuple."""
+    xs = _gen_items(replace(spec, dim=d1, structure="generic"), "xitem")
+    ys = _gen_items(replace(spec, dim=d2, structure="generic"), "yitem")
+    return xs, ys, SpdTuple(certify(_assemble_block(_entries(xs), _entries(ys))))
+
+
 def gen_spd(spec: GenSpec) -> SpdMatrix:
-    """One certified SPD draw (the first element of :func:`gen_tuple`)."""
-    return SpdMatrix(SymMatrix._wrap(
-        _spd_entries(spec.seed, spec.dim, spec.cond_bound, "item0")
-    ))
+    """One certified SPD draw (the first element of a generic :func:`gen_tuple`)."""
+    return _gen_items(replace(spec, k=1))[0]
 
 
 def gen_tuple(spec: GenSpec) -> SpdTuple:
     """Draw a deterministic SPD tuple with the requested structure."""
     if spec.structure == "generic":
-        return SpdTuple(_gen_items(spec))
+        return _gen_items(spec)
     if spec.structure == "commuting":
         return _commuting_parts(spec)[2]
-    d1, d2 = _block_sizes(spec.dim)
-    xs = _gen_items(replace(spec, dim=d1), "xitem")
-    ys = _gen_items(replace(spec, dim=d2), "yitem")
-    return SpdTuple([
-        SpdMatrix(SymMatrix._wrap(_assemble_block(x.entries, y.entries)))
-        for x, y in zip(xs, ys)
-    ])
+    return _block_parts(spec, *_block_sizes(spec.dim))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +258,6 @@ def _sweep(name: str, spec: GenSpec, trials: int,
     )
 
 
-def _as_kind(kind: MeanKind | str) -> MeanKind:
-    return MeanKind(kind)
-
-
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
@@ -270,19 +265,17 @@ def _as_kind(kind: MeanKind | str) -> MeanKind:
 def check_monotone(kind: MeanKind | str, spec: GenSpec,
                    trials: int = 100, tol: float = 1e-8) -> CheckReport:
     """Adding an SPD perturbation to every item never lowers the mean."""
-    kind = _as_kind(kind)
+    kind = MeanKind(kind)
 
     def trial(sub: GenSpec) -> float:
         t = gen_tuple(sub)
         base = mean(kind, t).entries
-        bumped = []
-        for i, a in enumerate(t):
-            p = _spd_entries(sub.seed, sub.dim, sub.cond_bound, f"pert{i}")
-            bumped.append(SpdMatrix(SymMatrix._wrap(
-                a.entries + 0.1 * _absmax(a.entries) * p
-            )))
-        larger = mean(kind, SpdTuple(bumped)).entries
-        return _loewner_violation(base, larger, tol)
+        bumped = SpdTuple(certify(np.stack([
+            a.entries + 0.1 * _absmax(a.entries)
+            * _spd_entries(sub.seed, sub.dim, sub.cond_bound, f"pert{i}")
+            for i, a in enumerate(t)
+        ])))
+        return _loewner_violation(base, mean(kind, bumped).entries, tol)
 
     return _sweep(f"monotone[{kind.value}]", spec, trials, trial)
 
@@ -290,14 +283,14 @@ def check_monotone(kind: MeanKind | str, spec: GenSpec,
 def check_concavity(kind: MeanKind | str, spec: GenSpec,
                     trials: int = 100, tol: float = 1e-8) -> CheckReport:
     """Means are jointly concave: mixing tuples beats mixing results."""
-    kind = _as_kind(kind)
+    kind = MeanKind(kind)
 
     def trial(sub: GenSpec) -> float:
         ta = gen_tuple(sub)
-        tb = SpdTuple(_gen_items(sub, "second"))
+        tb = _gen_items(sub, "second")
         lam = float(_stream(sub.seed, "lambda").uniform(0.0, 1.0))
         combo = lam * mean(kind, ta).entries + (1.0 - lam) * mean(kind, tb).entries
-        mixed = _spd_tuple(lam * _entries(ta) + (1.0 - lam) * _entries(tb))
+        mixed = SpdTuple(certify(lam * _entries(ta) + (1.0 - lam) * _entries(tb)))
         return _loewner_violation(combo, mean(kind, mixed).entries, tol)
 
     return _sweep(f"concavity[{kind.value}]", spec, trials, trial)
@@ -306,7 +299,7 @@ def check_concavity(kind: MeanKind | str, spec: GenSpec,
 def check_congruence(kind: MeanKind | str, spec: GenSpec,
                      trials: int = 100, tol: float = 1e-8) -> CheckReport:
     """Invariance under congruence by an invertible matrix."""
-    kind = _as_kind(kind)
+    kind = MeanKind(kind)
 
     def trial(sub: GenSpec) -> float:
         t = gen_tuple(sub)
@@ -322,7 +315,7 @@ def check_congruence(kind: MeanKind | str, spec: GenSpec,
             if abs(np.linalg.det(c)) >= 1e-6:
                 break
         m0 = mean(kind, t).entries
-        conj = _spd_tuple(congruence_arr(c, _entries(t)))
+        conj = SpdTuple(certify(congruence_arr(c, _entries(t))))
         return _releq_violation(
             mean(kind, conj).entries, congruence_arr(c, m0), tol
         )
@@ -338,11 +331,11 @@ def check_self_dual(kind: MeanKind | str, spec: GenSpec,
     harmonic are each other's duals, so the check compares against the
     partner kind.
     """
-    kind = _as_kind(kind)
+    kind = MeanKind(kind)
 
     def trial(sub: GenSpec) -> float:
         t = gen_tuple(sub)
-        inv_t = SpdTuple([inverse(a) for a in t])
+        inv_t = SpdTuple(certify(power_arr(_entries(t), -1.0)))
         if kind is MeanKind.ARITHMETIC:
             lhs = arithmetic_mean(inv_t)
             rhs = inverse(harmonic_mean(t))
@@ -364,7 +357,7 @@ def check_determinant(kind: MeanKind | str, spec: GenSpec,
     Compared in log space through the eigenvalues, so large dimensions do
     not overflow.
     """
-    kind = _as_kind(kind)
+    kind = MeanKind(kind)
     if kind not in _GEOMETRIC:
         raise ValueError(f"determinant identity only holds for {_GEOMETRIC}")
 
@@ -380,7 +373,7 @@ def check_determinant(kind: MeanKind | str, spec: GenSpec,
 def check_hga(kind: MeanKind | str, spec: GenSpec,
               trials: int = 100, tol: float = 1e-8) -> CheckReport:
     """Harmonic <= geometric <= arithmetic, in the Loewner order."""
-    kind = _as_kind(kind)
+    kind = MeanKind(kind)
     if kind not in _GEOMETRIC:
         raise ValueError(f"the sandwich applies to {_GEOMETRIC}")
 
@@ -402,21 +395,20 @@ def check_updating(kind: MeanKind | str, spec: GenSpec,
     Inductive: ``G_{k+1}(A_1..A_k, I) = G_k(A_1..A_k)^(k/(k+1))``.
     Variant:   ``H_{k+1}(A_1..A_k, I) = H_k(A_1^(k/(k+1)), ...)``.
     """
-    kind = _as_kind(kind)
+    kind = MeanKind(kind)
     if kind not in (MeanKind.INDUCTIVE, MeanKind.VARIANT):
         raise ValueError("updating rules are defined for inductive and variant")
 
     def trial(sub: GenSpec) -> float:
         t = gen_tuple(sub)
-        eye = SpdMatrix(np.eye(sub.dim))
-        ext = SpdTuple(list(t) + [eye])
+        ext = SpdTuple(certify(np.concatenate([_entries(t), np.eye(sub.dim)[None]])))
         p = sub.k / (sub.k + 1)
         if kind is MeanKind.INDUCTIVE:
             lhs = inductive_mean(ext)
             rhs = power(inductive_mean(t), p)
         else:
             lhs = variant_mean(ext)
-            rhs = variant_mean(SpdTuple([power(a, p) for a in t]))
+            rhs = variant_mean(SpdTuple(certify(power_arr(_entries(t), p))))
         return _releq_violation(lhs.entries, rhs.entries, tol)
 
     return _sweep(f"updating[{kind.value}]", spec, trials, trial)
@@ -429,22 +421,14 @@ def check_block_regularity(kind: MeanKind | str, spec: GenSpec,
 
     ``block_sizes`` overrides the default even split of ``spec.dim``.
     """
-    kind = _as_kind(kind)
+    kind = MeanKind(kind)
     d1, d2 = block_sizes if block_sizes is not None else _block_sizes(spec.dim)
     if d1 < 1 or d2 < 1 or d1 + d2 != spec.dim:
         raise ValueError(f"block sizes {d1}+{d2} do not partition dim {spec.dim}")
 
     def trial(sub: GenSpec) -> float:
-        xs = _gen_items(replace(sub, dim=d1), "xitem")
-        ys = _gen_items(replace(sub, dim=d2), "yitem")
-        full = SpdTuple([
-            SpdMatrix(SymMatrix._wrap(_assemble_block(x.entries, y.entries)))
-            for x, y in zip(xs, ys)
-        ])
-        oracle = _assemble_block(
-            mean(kind, SpdTuple(xs)).entries,
-            mean(kind, SpdTuple(ys)).entries,
-        )
+        xs, ys, full = _block_parts(sub, d1, d2)
+        oracle = _assemble_block(mean(kind, xs).entries, mean(kind, ys).entries)
         return _releq_violation(mean(kind, full).entries, oracle, tol)
 
     return _sweep(f"block_regularity[{kind.value}]", spec, trials, trial)
@@ -472,7 +456,7 @@ def check_jensen_contraction(F: RegularMap, spec: GenSpec,
         t = gen_tuple(sub)
         c = _contraction(sub)
         lhs = congruence_arr(c, F.fn(t).entries)
-        conj = _spd_tuple(congruence_arr(c, _entries(t)))
+        conj = SpdTuple(certify(congruence_arr(c, _entries(t))))
         return _loewner_violation(lhs, F.fn(conj).entries, tol)
 
     return _sweep(name, spec, trials, trial)
@@ -491,13 +475,13 @@ def check_jensen_pair(F: RegularMap, spec: GenSpec,
 
     def trial(sub: GenSpec) -> float:
         ta = gen_tuple(sub)
-        tb = SpdTuple(_gen_items(sub, "second"))
+        tb = _gen_items(sub, "second")
         x = _contraction(sub)
         y = power_arr(np.eye(sub.dim) - x.T @ x, 0.5)
         lhs = (congruence_arr(x, F.fn(ta).entries)
                + congruence_arr(y, F.fn(tb).entries))
-        combo = _spd_tuple(
-            congruence_arr(x, _entries(ta)) + congruence_arr(y, _entries(tb)))
+        combo = SpdTuple(certify(
+            congruence_arr(x, _entries(ta)) + congruence_arr(y, _entries(tb))))
         return _loewner_violation(lhs, F.fn(combo).entries, tol)
 
     return _sweep(name, spec, trials, trial)
@@ -510,7 +494,7 @@ def check_commuting(kind: MeanKind | str, spec: GenSpec,
     Items share an eigenbasis; the oracle applies the scalar mean to each
     eigenvalue row and rebuilds in that basis.
     """
-    kind = _as_kind(kind)
+    kind = MeanKind(kind)
 
     def trial(sub: GenSpec) -> float:
         q, lams, items = _commuting_parts(sub)
@@ -523,7 +507,7 @@ def check_commuting(kind: MeanKind | str, spec: GenSpec,
 
 def scalar_mean(kind: MeanKind | str, rows: np.ndarray) -> np.ndarray:
     """Scalar mean across the first axis: the commuting-case oracle."""
-    kind = _as_kind(kind)
+    kind = MeanKind(kind)
     if kind in _GEOMETRIC:
         return np.exp(np.log(rows).mean(axis=0))
     if kind is MeanKind.ARITHMETIC:
@@ -536,9 +520,8 @@ def check_two_var(spec: GenSpec, trials: int = 100,
     """All geometric kinds agree with the closed form at k = 2."""
 
     def trial(sub: GenSpec) -> float:
-        a, b = _gen_items(replace(sub, k=2))
-        pair = SpdTuple([a, b])
-        closed = weighted_geometric_2(a, b, 0.5).entries
+        pair = _gen_items(replace(sub, k=2))
+        closed = weighted_geometric_2(pair[0], pair[1], 0.5).entries
         return max(
             _releq_violation(inductive_mean(pair).entries, closed, tol),
             _releq_violation(variant_mean(pair).entries, closed, tol),
@@ -572,20 +555,16 @@ _ALL_KINDS = tuple(MeanKind)
 _JENSEN_KINDS = (MeanKind.INDUCTIVE, MeanKind.VARIANT)
 
 
-def _jensen_contraction_by_kind(kind, spec, trials, tol):
-    aux = (inductive_auxiliary if kind is MeanKind.INDUCTIVE
-           else variant_auxiliary)(spec.k)
-    return check_jensen_contraction(
-        aux, spec, trials, tol, name=f"jensen_contraction[{kind.value}]"
-    )
+def _jensen_by_kind(check: Callable) -> Callable:
+    """Run a Jensen check on the auxiliary map of the mean kind given."""
+    name = check.__name__.removeprefix("check_")
 
+    def run(kind, spec, trials, tol):
+        aux = (inductive_auxiliary if kind is MeanKind.INDUCTIVE
+               else variant_auxiliary)(spec.k)
+        return check(aux, spec, trials, tol, name=f"{name}[{kind.value}]")
 
-def _jensen_pair_by_kind(kind, spec, trials, tol):
-    aux = (inductive_auxiliary if kind is MeanKind.INDUCTIVE
-           else variant_auxiliary)(spec.k)
-    return check_jensen_pair(
-        aux, spec, trials, tol, name=f"jensen_pair[{kind.value}]"
-    )
+    return run
 
 
 # name -> (runner, kinds it applies to; None marks kind-independent checks)
@@ -598,8 +577,8 @@ _REGISTRY: dict[str, tuple[Callable, tuple[MeanKind, ...] | None]] = {
     "hga": (check_hga, _GEOMETRIC),
     "updating": (check_updating, _JENSEN_KINDS),
     "block_regularity": (check_block_regularity, _ALL_KINDS),
-    "jensen_contraction": (_jensen_contraction_by_kind, _JENSEN_KINDS),
-    "jensen_pair": (_jensen_pair_by_kind, _JENSEN_KINDS),
+    "jensen_contraction": (_jensen_by_kind(check_jensen_contraction), _JENSEN_KINDS),
+    "jensen_pair": (_jensen_by_kind(check_jensen_pair), _JENSEN_KINDS),
     "commuting": (check_commuting, _ALL_KINDS),
     "two_var": (check_two_var, None),
     "karcher_residual": (check_karcher_residual, None),
@@ -622,7 +601,7 @@ def run_suite(suite: Sequence[str], spec: GenSpec, trials: int = 100,
         raise ValueError(
             f"unknown check name(s) {unknown}; available: {list(CHECK_NAMES)}"
         )
-    want = _ALL_KINDS if kinds is None else tuple(_as_kind(k) for k in kinds)
+    want = _ALL_KINDS if kinds is None else tuple(MeanKind(k) for k in kinds)
     reports: list[CheckReport] = []
     for name in suite:
         fn, supported = _REGISTRY[name]

@@ -10,7 +10,9 @@ float64 arrays of shape ``(..., n, n)``, one matrix or a stack alike, that
 symmetrize, solve (checking positive definiteness over the whole stack),
 rebuild ``V f(w) V^T`` by matmul, and form powers, logs, exponentials,
 square-root pairs and congruences, all exactly symmetric. The value types
-wrap it at the public functions only.
+wrap it at the public functions only. :func:`certify` is the one way a
+freshly computed stack becomes ``SpdMatrix`` values: one stacked eigenvalue
+solve, then the rule ``SpdMatrix`` applies, member by member.
 """
 
 from __future__ import annotations
@@ -87,6 +89,14 @@ def default_spd_tol(entries: np.ndarray) -> float:
     Scales with the data: ``1e-12 * (1 + max|entry|)``.
     """
     return 1e-12 * (1.0 + float(np.abs(entries).max()))
+
+
+def _require_pd(witness: float, tol: float, prefix: str = "") -> None:
+    # The certification rule of SpdMatrix, written once.
+    if witness <= tol:
+        raise NotPositiveDefiniteError(
+            f"{prefix}smallest eigenvalue {witness:.6e} not above tolerance {tol:.3e}"
+        )
 
 
 def _square_float_array(values, name: str = "matrix") -> np.ndarray:
@@ -167,12 +177,17 @@ class SpdMatrix:
         if tol is None:
             tol = default_spd_tol(base.entries)
         witness = float(eigvalsh(base.entries)[0])
-        if witness <= tol:
-            raise NotPositiveDefiniteError(
-                f"smallest eigenvalue {witness:.6e} not above tolerance {tol:.3e}"
-            )
+        _require_pd(witness, tol)
         self.base = base
         self.min_eig_witness = witness
+
+    @classmethod
+    def _certified(cls, base: SymMatrix, witness: float) -> "SpdMatrix":
+        # Trusted path for a witness the caller has already checked.
+        obj = cls.__new__(cls)
+        obj.base = base
+        obj.min_eig_witness = witness
+        return obj
 
     @classmethod
     def _from_spectrum(cls, v: np.ndarray, fw: np.ndarray) -> "SpdMatrix":
@@ -181,15 +196,8 @@ class SpdMatrix:
         # holds the certified invariant: it must beat the default floor.
         base = SymMatrix._wrap(rebuild(v, fw))
         witness = float(fw.min())
-        if witness <= default_spd_tol(base.entries):
-            raise NotPositiveDefiniteError(
-                f"smallest eigenvalue {witness:.6e} not above tolerance "
-                f"{default_spd_tol(base.entries):.3e}"
-            )
-        obj = cls.__new__(cls)
-        obj.base = base
-        obj.min_eig_witness = witness
-        return obj
+        _require_pd(witness, default_spd_tol(base.entries))
+        return cls._certified(base, witness)
 
     @property
     def entries(self) -> np.ndarray:
@@ -303,6 +311,28 @@ def sqrt_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def congruence_arr(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``c^T a c`` for a symmetric stack ``a``, exactly symmetric."""
     return sym_part(c.swapaxes(-1, -2) @ a @ c)
+
+
+def certify(stack: np.ndarray) -> list[SpdMatrix]:
+    """Certify each member of a fresh, exactly symmetric ``(k, n, n)`` stack.
+
+    One stacked eigenvalue solve. Member i passes the rule of
+    :class:`SpdMatrix`, a smallest eigenvalue above ``default_spd_tol`` of
+    its entries, and becomes an ``SpdMatrix`` holding that eigenvalue as its
+    witness; the first member that fails raises ``NotPositiveDefiniteError``
+    naming its index. The caller must own ``stack``; it is frozen in place.
+    """
+    if not np.isfinite(stack).all():
+        raise DomainError("matrix entries must be finite")
+    witnesses = eigvalsh(stack)[:, 0].tolist()
+    stack.setflags(write=False)
+    out = []
+    for i, (a, witness) in enumerate(zip(stack, witnesses)):
+        _require_pd(witness, default_spd_tol(a), f"matrix {i}: ")
+        base = SymMatrix.__new__(SymMatrix)
+        base.entries = a
+        out.append(SpdMatrix._certified(base, witness))
+    return out
 
 
 def sym_eigen(A: SymMatrix) -> EigenDecomposition:

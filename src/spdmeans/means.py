@@ -31,6 +31,7 @@ from .kernel import (
     SpdMatrix,
     SpdMeansError,
     SymMatrix,
+    certify,
     congruence_arr,
     eigh_pd,
     exp_arr,
@@ -118,24 +119,18 @@ class SpdTuple:
 class SolverConfig:
     """Settings for the Karcher fixed-point solver.
 
-    ``step`` scales the step size theta of the plain update
-    ``X^1/2 exp(theta * step * S) X^1/2``; ``init`` picks the starting mean.
+    ``residual_tol`` bounds the Frobenius norm of the residual at the
+    returned mean; ``max_iter`` caps the number of updates.
     """
 
     residual_tol: float = 1e-10
     max_iter: int = 500
-    step: float = 1.0
-    init: str = "arithmetic"
 
     def __post_init__(self) -> None:
         if not (self.residual_tol >= 1e-14):
             raise ValueError("residual_tol must be >= 1e-14")
         if not (1 <= self.max_iter <= 10_000):
             raise ValueError("max_iter must be in [1, 10000]")
-        if not (0.0 < self.step <= 1.0):
-            raise ValueError("step must be in (0, 1]")
-        if self.init not in ("arithmetic", "inductive"):
-            raise ValueError("init must be 'arithmetic' or 'inductive'")
 
 
 @dataclass(frozen=True)
@@ -188,12 +183,19 @@ def _inductive_arr(arrs: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _variant_arr(stack: np.ndarray) -> np.ndarray:
-    k = len(stack)
-    if k == 1:
-        return stack[0]
-    bs, bis = sqrt_pair(stack[-1])
-    inner = power_arr(congruence_arr(bis, stack[:-1]), (k - 1) / k)
-    return congruence_arr(bs, _variant_arr(inner))
+    # A loop, so a long tuple cannot exhaust the interpreter's stack: each
+    # level drops the last item and keeps its square root, and the kept
+    # roots are applied from the innermost level out.
+    outer = []
+    while len(stack) > 1:
+        k = len(stack)
+        bs, bis = sqrt_pair(stack[-1])
+        outer.append(bs)
+        stack = power_arr(congruence_arr(bis, stack[:-1]), (k - 1) / k)
+    g = stack[0]
+    for bs in reversed(outer):
+        g = congruence_arr(bs, g)
+    return g
 
 
 def _arithmetic_arr(arrs: Sequence[np.ndarray]) -> np.ndarray:
@@ -242,20 +244,18 @@ def _accel_extrapolate(hist_x: deque[np.ndarray], hist_f: deque[np.ndarray]):
 def _karcher_arr(stack: np.ndarray, cfg: SolverConfig):
     """Fixed-point solve of ``sum_i log(X^-1/2 A_i X^-1/2) = 0``.
 
-    Plain update plus Anderson extrapolation, one residual per iterate.
-    The plain update ``g = X^1/2 exp(theta * step * S) X^1/2`` (``S`` the
-    residual at ``X``) feeds the Anderson history. The extrapolated iterate
-    is kept when it is positive definite with a residual below the current
-    one; otherwise ``g`` is taken. The kept iterate's residual is the one
+    Plain update plus Anderson extrapolation, one residual per iterate,
+    starting from the arithmetic mean. The plain update
+    ``g = X^1/2 exp(theta * S) X^1/2`` (``S`` the residual at ``X``) feeds
+    the Anderson history. The extrapolated iterate is kept when it is
+    positive definite with a residual below the current one; otherwise
+    ``g`` is taken. The kept iterate's residual is the one
     the next update needs. ``theta`` is ``1/k`` until a plain step raises
     the residual, then the Bini-Iannazzo step from the residual's spectra.
     The plain update alone contracts slowly on spread-out tuples; the
     extrapolation removes several error modes at once.
     """
-    if cfg.init == "arithmetic":
-        x = _arithmetic_arr(stack)
-    else:
-        x = _inductive_arr(stack)
+    x = _arithmetic_arr(stack)
     xs, s, r, spread = _karcher_state(x, stack)
     best_x, best_r = x, r
     adaptive = False
@@ -271,7 +271,7 @@ def _karcher_arr(stack: np.ndarray, cfg: SolverConfig):
             theta = 2.0 / float(np.sum(l / np.tanh(l / 2)))
         else:
             theta = 1.0 / len(stack)
-        g = congruence_arr(xs, exp_arr(s * (cfg.step * theta)))
+        g = congruence_arr(xs, exp_arr(s * theta))
         hist_x.append(x.ravel())
         hist_f.append(g.ravel() - x.ravel())
         accel = _accel_extrapolate(hist_x, hist_f)
@@ -302,10 +302,6 @@ def _karcher_arr(stack: np.ndarray, cfg: SolverConfig):
     )
 
 
-def _certify(arr: np.ndarray) -> SpdMatrix:
-    return SpdMatrix(SymMatrix._wrap(arr))
-
-
 def _stack(t: SpdTuple) -> np.ndarray:
     return np.stack([a.entries for a in t])
 
@@ -329,7 +325,7 @@ def weighted_geometric_2(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
         return A
     if t == 1.0:
         return B
-    return _certify(_geometric_2_arr(A.entries, B.entries, t))
+    return certify(_geometric_2_arr(A.entries, B.entries, t)[None])[0]
 
 
 def perspective(F: RegularMap, args: SpdTuple, B: SpdMatrix) -> SymMatrix:
@@ -343,9 +339,8 @@ def perspective(F: RegularMap, args: SpdTuple, B: SpdMatrix) -> SymMatrix:
     if args.dim != B.dim:
         raise ShapeError(f"dimension mismatch: {args.dim} != {B.dim}")
     bs, bis = sqrt_pair(B.entries)
-    conj = SpdTuple([_certify(c) for c in congruence_arr(bis, _stack(args))])
-    inner = F.fn(conj)
-    return SymMatrix._wrap(congruence_arr(bs, inner.entries))
+    conj = SpdTuple(certify(congruence_arr(bis, _stack(args))))
+    return SymMatrix(congruence_arr(bs, F.fn(conj).entries))
 
 
 def inductive_mean(t: SpdTuple) -> SpdMatrix:
@@ -362,7 +357,7 @@ def inductive_mean(t: SpdTuple) -> SpdMatrix:
     """
     if len(t) == 1:
         return t[0]
-    return _certify(_inductive_arr([a.entries for a in t]))
+    return certify(_inductive_arr([a.entries for a in t])[None])[0]
 
 
 def variant_mean(t: SpdTuple) -> SpdMatrix:
@@ -382,21 +377,22 @@ def variant_mean(t: SpdTuple) -> SpdMatrix:
     """
     if len(t) == 1:
         return t[0]
-    return _certify(_variant_arr(_stack(t)))
+    return certify(_variant_arr(_stack(t))[None])[0]
 
 
 def arithmetic_mean(t: SpdTuple) -> SpdMatrix:
     """Entrywise average of the tuple."""
     if len(t) == 1:
         return t[0]
-    return _certify(_arithmetic_arr([a.entries for a in t]))
+    return certify(_arithmetic_arr([a.entries for a in t])[None])[0]
 
 
 def harmonic_mean(t: SpdTuple) -> SpdMatrix:
     """Inverse of the arithmetic mean of the inverses."""
     if len(t) == 1:
         return t[0]
-    return _certify(power_arr(_arithmetic_arr(power_arr(_stack(t), -1.0)), -1.0))
+    inv = power_arr(_stack(t), -1.0)
+    return certify(power_arr(_arithmetic_arr(inv), -1.0)[None])[0]
 
 
 def karcher_residual(X: SpdMatrix, t: SpdTuple) -> SymMatrix:
@@ -407,7 +403,7 @@ def karcher_residual(X: SpdMatrix, t: SpdTuple) -> SymMatrix:
     if X.dim != t.dim:
         raise ShapeError(f"dimension mismatch: {X.dim} != {t.dim}")
     _, s, _, _ = _karcher_state(X.entries, _stack(t))
-    return SymMatrix._wrap(s)
+    return SymMatrix(s)
 
 
 def karcher_mean(t: SpdTuple, cfg: SolverConfig | None = None) -> SpdMatrix:
@@ -415,7 +411,7 @@ def karcher_mean(t: SpdTuple, cfg: SolverConfig | None = None) -> SpdMatrix:
 
     Solves ``sum_i log(X^-1/2 A_i X^-1/2) = 0`` by a plain fixed-point
     update plus Anderson extrapolation, one residual per iterate, starting
-    from the arithmetic or inductive mean per ``cfg``.
+    from the arithmetic mean.
     Raises :class:`ConvergenceError` if ``cfg.max_iter`` updates do not
     bring the Frobenius norm of the residual under ``cfg.residual_tol``.
     """
@@ -424,7 +420,7 @@ def karcher_mean(t: SpdTuple, cfg: SolverConfig | None = None) -> SpdMatrix:
     if len(t) == 1:
         return t[0]
     x, _ = _karcher_arr(_stack(t), cfg)
-    return _certify(x)
+    return certify(x[None])[0]
 
 
 _DISPATCH = {

@@ -164,6 +164,13 @@ def test_mean_cli_error_paths(tmp_path, capsys):
                        capsys)
     assert code == 2 and "matrix 0" in err
 
+    second = tmp_path / "second.json"
+    second.write_text('{"dim": 2, "matrices": [[[2.0, 0.0], [0.0, 1.0]],'
+                      ' [[1.0, 0.0], [0.0, -1.0]]]}')
+    code, _, err = run(["mean", "--kind", "inductive", "--input", str(second)],
+                       capsys)
+    assert code == 2 and "matrix 1" in err
+
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text("{{{")
     code, _, err = run(["mean", "--kind", "inductive",

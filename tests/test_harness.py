@@ -58,10 +58,13 @@ def test_gen_tuple_commuting():
 
 
 def test_gen_tuple_block():
-    t = gen_tuple(GenSpec(dim=5, k=2, seed=19, structure="block"))
-    for a in t:
-        assert np.abs(a.entries[:3, 3:]).max() == 0.0
-        assert np.abs(a.entries[3:, :3]).max() == 0.0
+    # dims 2 and 3 split off a 1x1 block
+    for dim in (5, 3, 2):
+        d1 = (dim + 1) // 2
+        t = gen_tuple(GenSpec(dim=dim, k=2, seed=19, structure="block"))
+        for a in t:
+            assert np.abs(a.entries[:d1, d1:]).max() == 0.0
+            assert np.abs(a.entries[d1:, :d1]).max() == 0.0
 
 
 def test_genspec_validation():

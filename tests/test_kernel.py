@@ -26,7 +26,7 @@ from spdmeans import (
     sym_eigen,
 )
 
-from spdmeans.kernel import exp_arr, log_arr, power_arr, sqrt_pair
+from spdmeans.kernel import certify, exp_arr, log_arr, power_arr, sqrt_pair
 
 from helpers import random_spd, rel_err
 
@@ -220,6 +220,15 @@ def test_spd_certification():
     with pytest.raises(NotPositiveDefiniteError):
         SpdMatrix(near, tol=1e-6)
     assert SpdMatrix(near, tol=1e-10).min_eig_witness > 0
+    # one stacked solve certifies each member as its own construction would
+    rng = np.random.default_rng(28)
+    stack = np.stack([np.diag([3.0, 5.0]), near]
+                     + [random_spd(rng, 2).entries for _ in range(4)])
+    certified = certify(stack.copy())
+    for m, a in zip(certified, stack, strict=True):
+        assert m.min_eig_witness == SpdMatrix(a).min_eig_witness
+        assert np.array_equal(m.entries, a)
+        assert not m.entries.flags.writeable
 
 
 def test_entries_are_read_only():
@@ -260,3 +269,5 @@ def test_core_rejects_stack_with_one_non_pd_member():
     for core in (lambda a: power_arr(a, 0.5), log_arr, sqrt_pair):
         with pytest.raises(NotPositiveDefiniteError):
             core(stack)
+    with pytest.raises(NotPositiveDefiniteError, match="^matrix 2: "):
+        certify(stack)

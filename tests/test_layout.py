@@ -6,21 +6,45 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdmeans"
 
 
-def private_imports(path):
-    """``from <package module> import _name`` statements in one file."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def package_imports(tree):
+    """``from <package module> import ...`` statements of one module."""
     return [
-        f"{path.name}:{node.lineno} imports {alias.name}"
-        for node in ast.walk(tree)
+        node for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         and (node.level > 0 or (node.module or "").split(".")[0] == "spdmeans")
+    ]
+
+
+def is_private_attribute(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_uses(path):
+    """Another package module's private names used in one file.
+
+    Both ``from <package module> import _name`` and ``Name._attr`` (not a
+    dunder) where ``Name`` was imported from another package module count.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = package_imports(tree)
+    imported = {alias.asname or alias.name for node in imports for alias in node.names}
+    return [
+        f"{path.name}:{node.lineno} imports {alias.name}"
+        for node in imports
         for alias in node.names
         if alias.name.startswith("_")
+    ] + [
+        f"{path.name}:{node.lineno} uses {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in imported
+        and is_private_attribute(node.attr)
     ]
 
 
 def test_no_module_imports_another_modules_private_names():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 5
-    found = [hit for path in modules for hit in private_imports(path)]
+    found = [hit for path in modules for hit in private_uses(path)]
     assert not found, found

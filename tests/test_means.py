@@ -156,6 +156,13 @@ def test_variant_scalar_values():
                .entries[0, 0] - 2.0) < 1e-12
 
 
+def test_variant_mean_of_a_tuple_longer_than_the_recursion_limit():
+    vals = np.random.default_rng(36).uniform(0.5, 2.0, 1100)
+    got = variant_mean(SpdTuple([diag(v) for v in vals])).entries[0, 0]
+    want = math.exp(np.log(vals).mean())
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_variant_identity_tail_gives_root():
     rng = np.random.default_rng(37)
     a = random_spd(rng, 3)
@@ -233,14 +240,6 @@ def test_karcher_scale_equivariance():
                    2.5 * karcher_mean(t).entries) < 1e-12
 
 
-def test_karcher_init_choices_agree():
-    rng = np.random.default_rng(42)
-    t = SpdTuple([random_spd(rng, 3) for _ in range(4)])
-    m1 = karcher_mean(t, SolverConfig(init="arithmetic"))
-    m2 = karcher_mean(t, SolverConfig(init="inductive"))
-    assert rel_err(m1.entries, m2.entries) < 1e-9
-
-
 def test_karcher_convergence_error_carries_state():
     t = skew_triple()
     with pytest.raises(ConvergenceError) as err:
@@ -299,12 +298,6 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=20_000)
-    with pytest.raises(ValueError):
-        SolverConfig(step=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(step=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(init="random")
 
 
 # -- perspective and auxiliaries ---------------------------------------------

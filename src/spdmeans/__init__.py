@@ -2,8 +2,8 @@
 
 Three layers:
 
-- :mod:`spdmeans.kernel`: symmetric eigendecomposition and the spectral
-  functional calculus (powers, log, exp, congruence, Loewner order).
+- :mod:`spdmeans.kernel`: certified matrix types and the spectral
+  functional calculus (powers, log, exp, congruence) on one eigen path.
 - :mod:`spdmeans.means`: two-variable weighted geometric mean, perspective
   lift, inductive and variant multivariate geometric means, arithmetic,
   harmonic, and Karcher means.
@@ -11,51 +11,13 @@ Three layers:
   checks (monotonicity, concavity, congruence invariance, and friends).
 
 ``spdmeans.cli`` exposes the same functionality as the ``spdmeans``
-command.
+command. The package re-exports ``kernel.__all__``, ``means.__all__`` and
+the harness entry points below.
 """
 
-from .kernel import (
-    DomainError,
-    EigenDecomposition,
-    EigenSolverError,
-    GeneralMatrix,
-    NotPositiveDefiniteError,
-    ShapeError,
-    SpdMatrix,
-    SpdMeansError,
-    SymMatrix,
-    SymmetryError,
-    congruence,
-    default_spd_tol,
-    exp_m,
-    inv_sqrt,
-    inverse,
-    is_spd,
-    loewner_leq,
-    log_m,
-    power,
-    spectral_apply,
-    sqrt,
-    sym_eigen,
-)
-from .means import (
-    ConvergenceError,
-    MeanKind,
-    RegularMap,
-    SolverConfig,
-    SpdTuple,
-    arithmetic_mean,
-    harmonic_mean,
-    inductive_auxiliary,
-    inductive_mean,
-    karcher_mean,
-    karcher_residual,
-    mean,
-    perspective,
-    variant_auxiliary,
-    variant_mean,
-    weighted_geometric_2,
-)
+from . import kernel, means
+from .kernel import *  # noqa: F403
+from .means import *  # noqa: F403
 from .harness import (
     CHECK_NAMES,
     CheckReport,
@@ -68,44 +30,8 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError",
-    "EigenDecomposition",
-    "EigenSolverError",
-    "GeneralMatrix",
-    "NotPositiveDefiniteError",
-    "ShapeError",
-    "SpdMatrix",
-    "SpdMeansError",
-    "SymMatrix",
-    "SymmetryError",
-    "congruence",
-    "default_spd_tol",
-    "exp_m",
-    "inv_sqrt",
-    "inverse",
-    "is_spd",
-    "loewner_leq",
-    "log_m",
-    "power",
-    "spectral_apply",
-    "sqrt",
-    "sym_eigen",
-    "ConvergenceError",
-    "MeanKind",
-    "RegularMap",
-    "SolverConfig",
-    "SpdTuple",
-    "arithmetic_mean",
-    "harmonic_mean",
-    "inductive_auxiliary",
-    "inductive_mean",
-    "karcher_mean",
-    "karcher_residual",
-    "mean",
-    "perspective",
-    "variant_auxiliary",
-    "variant_mean",
-    "weighted_geometric_2",
+    *kernel.__all__,
+    *means.__all__,
     "CHECK_NAMES",
     "CheckReport",
     "GenSpec",

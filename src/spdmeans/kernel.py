@@ -1,30 +1,26 @@
 """Functional calculus for dense real symmetric matrices.
 
 Value types certify their invariants once at construction (exact symmetry,
-finite entries, positive definiteness) and are immutable afterwards. All
-operations are pure functions built on the symmetric eigendecomposition:
-``f(A) = U f(L) U^T`` where ``A = U L U^T``.
+finite entries, positive definiteness) and are immutable afterwards.
 
-The package's one array-level spectral core lives here too: functions on
-float64 arrays of shape ``(..., n, n)``, one matrix or a stack alike, that
-symmetrize, solve (checking positive definiteness over the whole stack),
-rebuild ``V f(w) V^T`` by matmul, and form powers, logs, exponentials,
-square-root pairs and congruences, all exactly symmetric. The value types
-wrap it at the public functions only. :func:`certify` is the one way a
-freshly computed stack becomes ``SpdMatrix`` values: one stacked eigenvalue
-solve, then the rule ``SpdMatrix`` applies, member by member.
+Every matrix function goes through the package's one array-level spectral
+core, functions on float64 arrays of shape ``(..., n, n)``, one matrix or a
+stack alike: one LAPACK ``eigh`` (checking positive definiteness over the
+whole stack where the function needs it), then ``f(A) = V f(w) V^T``
+rebuilt by matmul, exactly symmetric. Powers, logs, exponentials,
+square-root pairs and congruences are built on it, and the public functions
+wrap the value types around it. :func:`certify` is the one way a freshly
+computed stack becomes ``SpdMatrix`` values: one stacked eigenvalue solve,
+then the rule ``SpdMatrix`` applies, member by member.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "ORTHO_TOL",
-    "RECON_TOL",
     "SYMMETRY_RTOL",
     "SpdMeansError",
     "ShapeError",
@@ -34,10 +30,7 @@ __all__ = [
     "EigenSolverError",
     "SymMatrix",
     "SpdMatrix",
-    "EigenDecomposition",
-    "GeneralMatrix",
     "default_spd_tol",
-    "sym_eigen",
     "spectral_apply",
     "power",
     "sqrt",
@@ -46,16 +39,10 @@ __all__ = [
     "log_m",
     "exp_m",
     "congruence",
-    "loewner_leq",
-    "is_spd",
 ]
 
-# Eigenvector orthonormality is checked in absolute terms (the basis is unit
-# scale by construction); reconstruction is relative to max|entry| of the
-# input. The symmetry gate is relative: asymmetry beyond round-off is an
-# input error and is rejected, never repaired.
-ORTHO_TOL = 1e-10
-RECON_TOL = 1e-10
+# The symmetry gate is relative: asymmetry beyond round-off is an input
+# error and is rejected, never repaired.
 SYMMETRY_RTOL = 1e-12
 
 
@@ -80,15 +67,16 @@ class NotPositiveDefiniteError(SpdMeansError):
 
 
 class EigenSolverError(SpdMeansError):
-    """The symmetric eigensolver failed or returned an invalid basis."""
+    """The symmetric eigensolver failed."""
 
 
 def default_spd_tol(entries: np.ndarray) -> float:
     """Positive-definiteness floor used when no explicit tolerance is given.
 
-    Scales with the data: ``1e-12 * (1 + max|entry|)``.
+    Relative to the data, so scaling a matrix scales its floor:
+    ``1e-12 * max|entry|``.
     """
-    return 1e-12 * (1.0 + float(np.abs(entries).max()))
+    return 1e-12 * float(np.abs(entries).max())
 
 
 def _require_pd(witness: float, tol: float, prefix: str = "") -> None:
@@ -100,6 +88,7 @@ def _require_pd(witness: float, tol: float, prefix: str = "") -> None:
 
 
 def _square_float_array(values, name: str = "matrix") -> np.ndarray:
+    # The input gate of every array-like argument: square, nonempty, finite.
     try:
         a = np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -108,6 +97,8 @@ def _square_float_array(values, name: str = "matrix") -> np.ndarray:
         raise ShapeError(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ShapeError(f"{name} must have positive dimension")
+    if not np.isfinite(a).all():
+        raise DomainError(f"{name} entries must be finite")
     return a
 
 
@@ -126,8 +117,6 @@ class SymMatrix:
 
     def __init__(self, values) -> None:
         a = _square_float_array(values)
-        if not np.isfinite(a).all():
-            raise DomainError("matrix entries must be finite")
         scale = float(np.abs(a).max())
         asym = float(np.abs(a - a.T).max())
         if asym > SYMMETRY_RTOL * scale:
@@ -209,36 +198,6 @@ class SpdMatrix:
 
     def __repr__(self) -> str:
         return f"SpdMatrix(dim={self.dim}, min_eig={self.min_eig_witness:.3e})"
-
-
-class GeneralMatrix:
-    """Square real matrix with finite entries; no symmetry requirement."""
-
-    __slots__ = ("entries",)
-
-    entries: np.ndarray
-
-    def __init__(self, values) -> None:
-        a = _square_float_array(values)
-        if not np.isfinite(a).all():
-            raise DomainError("matrix entries must be finite")
-        a.setflags(write=False)
-        self.entries = a
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __repr__(self) -> str:
-        return f"GeneralMatrix(dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvector columns (orthonormal) and eigenvalues (ascending)."""
-
-    vectors: np.ndarray
-    values: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -335,32 +294,6 @@ def certify(stack: np.ndarray) -> list[SpdMatrix]:
     return out
 
 
-def sym_eigen(A: SymMatrix) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
-
-    Returns eigenvalues in ascending order with orthonormal eigenvector
-    columns. The basis is verified after the solve: orthonormality within
-    ``ORTHO_TOL`` and reconstruction within ``RECON_TOL`` relative to
-    max|entry|; a basis failing either check raises ``EigenSolverError``.
-    """
-    w, v = eigh(A.entries)
-    n = A.dim
-    ortho = float(np.abs(v.T @ v - np.eye(n)).max())
-    if ortho > ORTHO_TOL:
-        raise EigenSolverError(
-            f"eigenvector basis not orthonormal: defect {ortho:.3e}"
-        )
-    scale = float(np.abs(A.entries).max())
-    recon = float(np.abs((v * w) @ v.T - A.entries).max())
-    if recon > RECON_TOL * scale:
-        raise EigenSolverError(
-            f"reconstruction defect {recon:.3e} exceeds {RECON_TOL:.0e} * max|entry|"
-        )
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return EigenDecomposition(vectors=v, values=w)
-
-
 def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
     """Apply a scalar function to an SPD matrix through its spectrum.
 
@@ -378,17 +311,17 @@ def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
     SymMatrix
         ``U f(L) U^T``, exactly symmetrized.
     """
-    dec = sym_eigen(A.base)
-    out = np.empty_like(dec.values)
-    for i, lam in enumerate(dec.values):
+    w, v = eigh(A.entries)
+    out = np.empty_like(w)
+    for i, lam in enumerate(w):
         try:
             out[i] = float(f(float(lam)))
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"f({lam!r}) failed: {exc}") from exc
     if not np.isfinite(out).all():
-        bad = float(dec.values[~np.isfinite(out)][0])
+        bad = float(w[~np.isfinite(out)][0])
         raise DomainError(f"f evaluated non-finite at eigenvalue {bad!r}")
-    return SymMatrix._wrap(rebuild(dec.vectors, out))
+    return SymMatrix._wrap(rebuild(v, out))
 
 
 def power(A: SpdMatrix, p: float) -> SpdMatrix:
@@ -423,26 +356,13 @@ def exp_m(S: SymMatrix) -> SpdMatrix:
     return SpdMatrix._from_spectrum(v, np.exp(w))
 
 
-def congruence(C: GeneralMatrix, A: SymMatrix) -> SymMatrix:
-    """Congruence transform ``C^T A C``, exactly symmetrized."""
-    if C.dim != A.dim:
-        raise ShapeError(f"dimension mismatch: C is {C.dim}, A is {A.dim}")
-    return SymMatrix._wrap(congruence_arr(C.entries, A.entries))
+def congruence(C, A: SymMatrix) -> SymMatrix:
+    """Congruence transform ``C^T A C``, exactly symmetrized.
 
-
-def loewner_leq(A: SymMatrix, B: SymMatrix, tol: float) -> bool:
-    """Loewner order test: ``A <= B`` iff ``lambda_min(B - A) >= -tol``."""
-    if A.dim != B.dim:
-        raise ShapeError(f"dimension mismatch: A is {A.dim}, B is {B.dim}")
-    w = eigvalsh(B.entries - A.entries)
-    return bool(w[0] >= -tol)
-
-
-def is_spd(A: SymMatrix, tol: float | None = None) -> bool:
-    """True iff the smallest eigenvalue of ``A`` is strictly above ``tol``.
-
-    ``tol`` defaults to ``default_spd_tol`` of the entries.
+    ``C`` is any square array-like with finite entries (no symmetry
+    required) of the same dimension as ``A``.
     """
-    if tol is None:
-        tol = default_spd_tol(A.entries)
-    return bool(eigvalsh(A.entries)[0] > tol)
+    c = _square_float_array(C)
+    if c.shape[0] != A.dim:
+        raise ShapeError(f"dimension mismatch: C is {c.shape[0]}, A is {A.dim}")
+    return SymMatrix._wrap(congruence_arr(c, A.entries))

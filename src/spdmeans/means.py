@@ -129,6 +129,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (self.residual_tol >= 1e-14):
             raise ValueError("residual_tol must be >= 1e-14")
+        if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not (1 <= self.max_iter <= 10_000):
             raise ValueError("max_iter must be in [1, 10000]")
 

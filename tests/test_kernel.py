@@ -6,7 +6,6 @@ import pytest
 from spdmeans import (
     DomainError,
     EigenSolverError,
-    GeneralMatrix,
     NotPositiveDefiniteError,
     ShapeError,
     SpdMatrix,
@@ -17,40 +16,38 @@ from spdmeans import (
     exp_m,
     inv_sqrt,
     inverse,
-    is_spd,
-    loewner_leq,
     log_m,
     power,
     spectral_apply,
     sqrt,
-    sym_eigen,
 )
 
-from spdmeans.kernel import certify, exp_arr, log_arr, power_arr, sqrt_pair
+from spdmeans.harness import _loewner_violation
+from spdmeans.kernel import certify, eigh, exp_arr, log_arr, power_arr, sqrt_pair
 
 from helpers import random_spd, rel_err
 
 
-def test_sym_eigen_two_by_two():
+def test_eigh_two_by_two():
     # [[2,1],[1,2]] has eigenpairs (1, (1,-1)/sqrt2) and (3, (1,1)/sqrt2)
-    dec = sym_eigen(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(dec.values, [1.0, 3.0], atol=1e-12)
+    values, vectors = eigh(SymMatrix([[2.0, 1.0], [1.0, 2.0]]).entries)
+    assert np.allclose(values, [1.0, 3.0], atol=1e-12)
     s = 1.0 / math.sqrt(2.0)
-    assert np.allclose(np.abs(dec.vectors[:, 0]), [s, s], atol=1e-12)
-    assert np.allclose(np.abs(dec.vectors[:, 1]), [s, s], atol=1e-12)
+    assert np.allclose(np.abs(vectors[:, 0]), [s, s], atol=1e-12)
+    assert np.allclose(np.abs(vectors[:, 1]), [s, s], atol=1e-12)
     # signs within a column are opposite for the first eigenvector
-    assert dec.vectors[0, 0] * dec.vectors[1, 0] < 0
-    assert dec.vectors[0, 1] * dec.vectors[1, 1] > 0
+    assert vectors[0, 0] * vectors[1, 0] < 0
+    assert vectors[0, 1] * vectors[1, 1] > 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
-def test_sym_eigen_invariants(n):
+def test_eigh_invariants(n):
     rng = np.random.default_rng(1000 + n)
     a = SymMatrix((lambda m: (m + m.T) / 2)(rng.standard_normal((n, n))))
-    dec = sym_eigen(a)
-    assert np.all(np.diff(dec.values) >= 0)
-    assert np.abs(dec.vectors.T @ dec.vectors - np.eye(n)).max() <= 1e-10
-    recon = (dec.vectors * dec.values) @ dec.vectors.T
+    values, vectors = eigh(a.entries)
+    assert np.all(np.diff(values) >= 0)
+    assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-10
+    recon = (vectors * values) @ vectors.T
     assert np.abs(recon - a.entries).max() <= 1e-10 * np.abs(a.entries).max()
 
 
@@ -74,11 +71,11 @@ def test_spectral_apply_matches_direct_square():
 def test_spectral_apply_eigenvector_action():
     rng = np.random.default_rng(12)
     a = random_spd(rng, 6)
-    dec = sym_eigen(a.base)
+    values, vectors = eigh(a.entries)
     fa = spectral_apply(a, math.log1p)
     for i in range(6):
-        v = dec.vectors[:, i]
-        assert np.abs(fa.entries @ v - math.log1p(dec.values[i]) * v).max() < 1e-10
+        v = vectors[:, i]
+        assert np.abs(fa.entries @ v - math.log1p(values[i]) * v).max() < 1e-10
 
 
 def test_spectral_apply_domain_errors():
@@ -134,22 +131,27 @@ def test_exp_m_always_spd():
 
 
 def test_congruence_values_and_shape_check():
-    c = GeneralMatrix([[1.0, 2.0], [0.0, 1.0]])
+    c = [[1.0, 2.0], [0.0, 1.0]]
     a = SymMatrix([[1.0, 0.0], [0.0, 2.0]])
     out = congruence(c, a)
-    assert np.allclose(out.entries, c.entries.T @ a.entries @ c.entries)
+    assert np.allclose(out.entries, np.transpose(c) @ a.entries @ c)
     assert np.array_equal(out.entries, out.entries.T)
     with pytest.raises(ShapeError):
-        congruence(GeneralMatrix(np.eye(3)), a)
+        congruence(np.eye(3), a)
+    # the gate on C: square and finite
+    with pytest.raises(ShapeError):
+        congruence([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]], a)
+    with pytest.raises(DomainError):
+        congruence([[1.0, float("nan")], [0.0, 1.0]], a)
 
 
 def test_congruence_by_orthogonal_preserves_spectrum():
     rng = np.random.default_rng(25)
     a = random_spd(rng, 6)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    rotated = congruence(GeneralMatrix(q), a.base)
-    w0 = sym_eigen(a.base).values
-    w1 = sym_eigen(rotated).values
+    rotated = congruence(q, a.base)
+    w0 = eigh(a.entries)[0]
+    w1 = eigh(rotated.entries)[0]
     assert np.abs(w0 - w1).max() < 1e-9 * np.abs(w0).max()
 
 
@@ -157,33 +159,22 @@ def test_loewner_order_basic():
     rng = np.random.default_rng(26)
     a = random_spd(rng, 4)
     p = random_spd(rng, 4)
-    bigger = SymMatrix(a.entries + p.entries)
-    assert loewner_leq(a.base, bigger, 1e-10)
-    assert not loewner_leq(bigger, a.base, 1e-10)
-    assert loewner_leq(a.base, a.base, 0.0)  # reflexive
+    bigger = a.entries + p.entries
+    # a violation at or below zero means the order holds
+    assert _loewner_violation(a.entries, bigger, 1e-10) <= 0
+    assert _loewner_violation(bigger, a.entries, 1e-10) > 0
+    assert _loewner_violation(a.entries, a.entries, 0.0) <= 0  # reflexive
 
 
 def test_loewner_transitive_on_chain():
     rng = np.random.default_rng(27)
     tol = 1e-10
     a = random_spd(rng, 5)
-    b = SymMatrix(a.entries + random_spd(rng, 5).entries)
-    c = SymMatrix(b.entries + random_spd(rng, 5).entries)
-    assert loewner_leq(a.base, b, tol)
-    assert loewner_leq(b, c, tol)
-    assert loewner_leq(a.base, c, 2 * tol)
-
-
-def test_is_spd_gram_and_rejections():
-    rng = np.random.default_rng(28)
-    c = rng.standard_normal((5, 5))
-    tol = 1e-9
-    gram = SymMatrix(c.T @ c + 2 * tol * np.eye(5))
-    assert is_spd(gram, tol)
-    assert not is_spd(SymMatrix(np.diag([1.0, -1e-6])), 1e-9)
-    # default tolerance scales with the entries
-    assert not is_spd(SymMatrix(np.diag([1.0, 1e-13])))
-    assert abs(default_spd_tol(np.diag([1.0, 1e-13])) - 1e-12 * 2.0) < 1e-27
+    b = a.entries + random_spd(rng, 5).entries
+    c = b + random_spd(rng, 5).entries
+    assert _loewner_violation(a.entries, b, tol) <= 0
+    assert _loewner_violation(b, c, tol) <= 0
+    assert _loewner_violation(a.entries, c, 2 * tol) <= 0
 
 
 def test_symmetry_gate():
@@ -220,6 +211,16 @@ def test_spd_certification():
     with pytest.raises(NotPositiveDefiniteError):
         SpdMatrix(near, tol=1e-6)
     assert SpdMatrix(near, tol=1e-10).min_eig_witness > 0
+    c = np.random.default_rng(28).standard_normal((5, 5))
+    tol = 1e-9
+    assert SpdMatrix(c.T @ c + 2 * tol * np.eye(5), tol=tol).min_eig_witness > tol
+    with pytest.raises(NotPositiveDefiniteError):
+        SpdMatrix(np.diag([1.0, -1e-6]), tol=1e-9)
+    # the default floor is relative to the entries: 1e-12 * max|entry|
+    with pytest.raises(NotPositiveDefiniteError):
+        SpdMatrix(np.diag([1.0, 1e-13]))
+    assert abs(default_spd_tol(np.diag([1.0, 1e-13])) - 1e-12) < 1e-27
+    assert abs(SpdMatrix(1e-12 * np.eye(3)).min_eig_witness - 1e-12) < 1e-27
     # one stacked solve certifies each member as its own construction would
     rng = np.random.default_rng(28)
     stack = np.stack([np.diag([3.0, 5.0]), near]
@@ -235,9 +236,6 @@ def test_entries_are_read_only():
     a = SpdMatrix(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
         a.entries[0, 0] = 7.0
-    dec = sym_eigen(a.base)
-    with pytest.raises(ValueError):
-        dec.values[0] = 0.0
 
 
 def test_core_matches_public_functions_on_stacks_and_matrices():

@@ -1,6 +1,7 @@
 """Source layout rules for the spdmeans package, checked on its syntax tree."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdmeans"
@@ -48,3 +49,18 @@ def test_no_module_imports_another_modules_private_names():
     assert len(modules) >= 5
     found = [hit for path in modules for hit in private_uses(path)]
     assert not found, found
+
+
+def test_every_exported_name_is_bound_and_listed_once():
+    modules = [
+        importlib.import_module("spdmeans" if path.stem == "__init__" else f"spdmeans.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+    ]
+    exported = [m for m in modules if hasattr(m, "__all__")]
+    assert len(exported) >= 5
+    for module in exported:
+        names = module.__all__
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        assert not repeated, f"{module.__name__}.__all__ repeats {repeated}"
+        unbound = [n for n in names if not hasattr(module, n)]
+        assert not unbound, f"{module.__name__}.__all__ lists unbound {unbound}"

@@ -26,7 +26,7 @@ from spdmeans import (
     weighted_geometric_2,
 )
 
-from spdmeans.kernel import GeneralMatrix, congruence, inv_sqrt, log_m, sqrt
+from spdmeans.kernel import congruence, inv_sqrt, log_m, sqrt
 
 from helpers import random_spd, rel_err
 
@@ -129,13 +129,13 @@ def defining_recursion(items, variant):
     if k == 1:
         return items[0]
     b, p = items[-1], (k - 1) / k
-    bis = GeneralMatrix(inv_sqrt(b).entries)
+    bis = inv_sqrt(b).entries
     conj = [SpdMatrix(congruence(bis, a.base)) for a in items[:-1]]
     if variant:
         inner = defining_recursion([power(a, p) for a in conj], True)
     else:
         inner = power(defining_recursion(conj, False), p)
-    return SpdMatrix(congruence(GeneralMatrix(sqrt(b).entries), inner.base))
+    return SpdMatrix(congruence(sqrt(b).entries, inner.base))
 
 
 @pytest.mark.parametrize("kind", ["inductive", "variant"])
@@ -284,7 +284,7 @@ def test_karcher_residual_matches_per_matrix_oracle():
     rng = np.random.default_rng(43)
     t = SpdTuple([random_spd(rng, 5) for _ in range(7)])
     x = random_spd(rng, 5)
-    c = GeneralMatrix(inv_sqrt(x).entries)
+    c = inv_sqrt(x).entries
     oracle = sum(log_m(SpdMatrix(congruence(c, a.base))).entries for a in t)
     assert rel_err(karcher_residual(x, t).entries, oracle) < 1e-12
     m = karcher_mean(t, SolverConfig(residual_tol=1e-12))
@@ -298,6 +298,10 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=20_000)
+    with pytest.raises(ValueError):
+        SolverConfig(max_iter=2.5)
+    with pytest.raises(ValueError):
+        SolverConfig(max_iter=True)
 
 
 # -- perspective and auxiliaries ---------------------------------------------
@@ -368,9 +372,11 @@ def test_mean_dispatch_accepts_strings_and_enums():
 def test_positive_homogeneity_all_kinds(kind):
     rng = np.random.default_rng(47)
     t = SpdTuple([random_spd(rng, 3) for _ in range(3)])
-    scaled = SpdTuple([SpdMatrix(3.7 * a.entries) for a in t])
-    assert rel_err(mean(kind, scaled).entries,
-                   3.7 * mean(kind, t).entries) < 1e-10
+    # the extreme scales need the relative positive-definiteness floor
+    for scale, tol in ((3.7, 1e-10), (1e-150, 1e-12), (1e150, 1e-12)):
+        scaled = SpdTuple([SpdMatrix(scale * a.entries) for a in t])
+        assert rel_err(mean(kind, scaled).entries,
+                       scale * mean(kind, t).entries) < tol
 
 
 @pytest.mark.parametrize("kind", ["inductive", "variant", "karcher"])

@@ -177,6 +177,19 @@ def test_loewner_transitive_on_chain():
     assert _loewner_violation(a.entries, c, 2 * tol) <= 0
 
 
+def test_is_spd_gram_and_rejections():
+    c = np.random.default_rng(28).standard_normal((5, 5))
+    tol = 1e-9
+    assert SpdMatrix(c.T @ c + 2 * tol * np.eye(5), tol=tol).min_eig_witness > tol
+    with pytest.raises(NotPositiveDefiniteError):
+        SpdMatrix(np.diag([1.0, -1e-6]), tol=1e-9)
+    # the default floor is relative to the entries: 1e-12 * max|entry|
+    with pytest.raises(NotPositiveDefiniteError):
+        SpdMatrix(np.diag([1.0, 1e-13]))
+    assert abs(default_spd_tol(np.diag([1.0, 1e-13])) - 1e-12) < 1e-27
+    assert abs(SpdMatrix(1e-12 * np.eye(3)).min_eig_witness - 1e-12) < 1e-27
+
+
 def test_symmetry_gate():
     with pytest.raises(SymmetryError):
         SymMatrix([[1.0, 0.5], [0.0, 1.0]])
@@ -211,16 +224,6 @@ def test_spd_certification():
     with pytest.raises(NotPositiveDefiniteError):
         SpdMatrix(near, tol=1e-6)
     assert SpdMatrix(near, tol=1e-10).min_eig_witness > 0
-    c = np.random.default_rng(28).standard_normal((5, 5))
-    tol = 1e-9
-    assert SpdMatrix(c.T @ c + 2 * tol * np.eye(5), tol=tol).min_eig_witness > tol
-    with pytest.raises(NotPositiveDefiniteError):
-        SpdMatrix(np.diag([1.0, -1e-6]), tol=1e-9)
-    # the default floor is relative to the entries: 1e-12 * max|entry|
-    with pytest.raises(NotPositiveDefiniteError):
-        SpdMatrix(np.diag([1.0, 1e-13]))
-    assert abs(default_spd_tol(np.diag([1.0, 1e-13])) - 1e-12) < 1e-27
-    assert abs(SpdMatrix(1e-12 * np.eye(3)).min_eig_witness - 1e-12) < 1e-27
     # one stacked solve certifies each member as its own construction would
     rng = np.random.default_rng(28)
     stack = np.stack([np.diag([3.0, 5.0]), near]

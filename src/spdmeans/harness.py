@@ -12,8 +12,9 @@ inverted, extended, block-diagonal, Jensen-combined) is built as one
 ``(k, n, n)`` stack and certified by one :func:`spdmeans.kernel.certify`
 call.
 
-Loewner comparisons are scaled by ``1 + max|entry|`` of the operands;
-equality comparisons use the relative max-norm.
+Loewner comparisons are scaled by the larger ``max|entry|`` of the
+operands and equality comparisons use the relative max-norm, so neither
+verdict depends on the scale of the matrices.
 """
 
 from __future__ import annotations
@@ -222,8 +223,14 @@ def _absmax(a: np.ndarray) -> float:
 
 
 def _loewner_violation(small: np.ndarray, large: np.ndarray, tol: float) -> float:
-    """Signed violation of ``small <= large`` in the Loewner order."""
-    scale = 1.0 + max(_absmax(small), _absmax(large))
+    """Signed violation of ``small <= large`` in the Loewner order.
+
+    The lowest eigenvalue of ``large - small`` relative to the larger max|entry|
+    of the operands, so the verdict does not depend on their scale.
+    """
+    scale = max(_absmax(small), _absmax(large))
+    if scale == 0.0:
+        return -tol
     return -float(eigvalsh(large - small)[0]) / scale - tol
 
 

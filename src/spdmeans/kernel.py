@@ -9,9 +9,11 @@ stack alike: one LAPACK ``eigh`` (checking positive definiteness over the
 whole stack where the function needs it), then ``f(A) = V f(w) V^T``
 rebuilt by matmul, exactly symmetric. Powers, logs, exponentials,
 square-root pairs and congruences are built on it, and the public functions
-wrap the value types around it. :func:`certify` is the one way a freshly
-computed stack becomes ``SpdMatrix`` values: one stacked eigenvalue solve,
-then the rule ``SpdMatrix`` applies, member by member.
+wrap the value types around it. The core also holds the one Cholesky
+primitive, :func:`chol_pair`, for congruences that need some factor
+``A = L L^T`` rather than the symmetric root. :func:`certify` is the one
+way a freshly computed stack becomes ``SpdMatrix`` values: one stacked
+eigenvalue solve, then the rule ``SpdMatrix`` applies, member by member.
 """
 
 from __future__ import annotations
@@ -267,6 +269,22 @@ def sqrt_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rebuild(v, sw), rebuild(v, 1.0 / sw)
 
 
+def chol_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factor ``L`` (``a = L L^T``) and ``L^-1`` of a PD stack.
+
+    ``L = a^1/2 Q`` for an orthogonal ``Q``, so it stands in for the
+    symmetric root wherever the result is invariant under that rotation,
+    at a fraction of an eigendecomposition's cost.
+    """
+    try:
+        l = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            f"matrix lost positive definiteness: Cholesky failed: {exc}"
+        ) from exc
+    return l, np.linalg.inv(l)
+
+
 def congruence_arr(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``c^T a c`` for a symmetric stack ``a``, exactly symmetric."""
     return sym_part(c.swapaxes(-1, -2) @ a @ c)
@@ -325,7 +343,12 @@ def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
 
 
 def power(A: SpdMatrix, p: float) -> SpdMatrix:
-    """Matrix power ``A**p`` for real ``p`` via the functional calculus."""
+    """Matrix power ``A**p`` for real ``p`` via the functional calculus.
+
+    The eigendecomposition also gives the result's certification witness,
+    ``min(w**p)``, so the value needs no second solve; a Cholesky route
+    would need one.
+    """
     w, v = eigh_pd(A.entries)
     return SpdMatrix._from_spectrum(v, w**p)
 
@@ -341,7 +364,10 @@ def inv_sqrt(A: SpdMatrix) -> SpdMatrix:
 
 
 def inverse(A: SpdMatrix) -> SpdMatrix:
-    """Matrix inverse through the eigendecomposition (stays symmetric)."""
+    """Matrix inverse through the eigendecomposition (stays symmetric).
+
+    Like :func:`power`, it takes its witness from the spectrum.
+    """
     return power(A, -1.0)
 
 

@@ -9,8 +9,14 @@ means, and the Karcher mean, solved on the vanishing-log-sum equation by a
 plain fixed-point update plus Anderson extrapolation, one residual per
 iterate.
 
-They run on plain arrays through the spectral core of :mod:`spdmeans.kernel`,
-with a tuple as one ``(k, n, n)`` stack wherever a step treats all items alike.
+They run on plain arrays through the core of :mod:`spdmeans.kernel`, with a
+tuple as one ``(k, n, n)`` stack wherever a step treats all items alike.
+Where a formula is unchanged by rotating the square root of a matrix, the
+congruence uses its Cholesky factor ``A = L L^T`` in place of ``A^1/2``
+(``L = A^1/2 Q`` with ``Q`` orthogonal): the two-variable mean
+``A #_t B = L (L^-1 B L^-T)^t L^T``, the last-item factor of each variant
+level, and the inverses of the harmonic mean as ``L^-T L^-1``. Each such
+step costs one Cholesky factorization instead of one eigendecomposition.
 
 All means act on ordered tuples (order matters for k >= 3), return
 certified SPD matrices, and reduce to the classic two-variable geometric
@@ -32,6 +38,7 @@ from .kernel import (
     SpdMeansError,
     SymMatrix,
     certify,
+    chol_pair,
     congruence_arr,
     eigh_pd,
     exp_arr,
@@ -173,8 +180,10 @@ class ConvergenceError(SpdMeansError):
 # ---------------------------------------------------------------------------
 
 def _geometric_2_arr(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    sa, sai = sqrt_pair(a)
-    return congruence_arr(sa, power_arr(congruence_arr(sai, b), t))
+    # A #_t B = L (L^-1 B L^-T)^t L^T with A = L L^T: L = A^1/2 Q for an
+    # orthogonal Q, and the power commutes with that rotation.
+    l, li = chol_pair(a)
+    return congruence_arr(l.T, power_arr(congruence_arr(li.T, b), t))
 
 
 def _inductive_arr(arrs: Sequence[np.ndarray]) -> np.ndarray:
@@ -186,18 +195,25 @@ def _inductive_arr(arrs: Sequence[np.ndarray]) -> np.ndarray:
 
 def _variant_arr(stack: np.ndarray) -> np.ndarray:
     # A loop, so a long tuple cannot exhaust the interpreter's stack: each
-    # level drops the last item and keeps its square root, and the kept
-    # roots are applied from the innermost level out.
+    # level drops the last item and keeps its Cholesky factor L, and the
+    # kept factors are applied from the innermost level out. L = A_k^1/2 Q
+    # for an orthogonal Q, which the power and H_{k-1} carry through.
     outer = []
     while len(stack) > 1:
         k = len(stack)
-        bs, bis = sqrt_pair(stack[-1])
-        outer.append(bs)
-        stack = power_arr(congruence_arr(bis, stack[:-1]), (k - 1) / k)
+        l, li = chol_pair(stack[-1])
+        outer.append(l.T)
+        stack = power_arr(congruence_arr(li.T, stack[:-1]), (k - 1) / k)
     g = stack[0]
-    for bs in reversed(outer):
-        g = congruence_arr(bs, g)
+    for lt in reversed(outer):
+        g = congruence_arr(lt, g)
     return g
+
+
+def _inverse_arr(a: np.ndarray) -> np.ndarray:
+    # a^-1 = L^-T L^-1 with a = L L^T, symmetrized
+    _, li = chol_pair(a)
+    return sym_part(li.swapaxes(-1, -2) @ li)
 
 
 def _arithmetic_arr(arrs: Sequence[np.ndarray]) -> np.ndarray:
@@ -213,6 +229,7 @@ def _karcher_state(x: np.ndarray, stack: np.ndarray):
 
     The spread of ``X^-1/2 A_i X^-1/2`` is ``log w_max - log w_min``. One
     stacked eigendecomposition covers the whole tuple ``stack`` (k, n, n).
+    The root is the symmetric one; see :func:`karcher_residual` for why.
     """
     xs, xis = sqrt_pair(x)
     w, v = eigh_pd(congruence_arr(xis, stack))
@@ -317,7 +334,10 @@ def weighted_geometric_2(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
 
     Computes ``A^1/2 (A^-1/2 B A^-1/2)^t A^1/2`` for ``0 <= t <= 1``, so
     ``t = 0`` gives ``A`` and ``t = 1`` gives ``B``. The endpoints return
-    the operand itself.
+    the operand itself. Evaluated as ``L (L^-1 B L^-T)^t L^T`` with
+    ``A = L L^T``, which is the same matrix since the power commutes with
+    the rotation ``Q = A^-1/2 L``: one Cholesky factorization and one
+    eigendecomposition.
     """
     if A.dim != B.dim:
         raise ShapeError(f"dimension mismatch: {A.dim} != {B.dim}")
@@ -334,7 +354,10 @@ def perspective(F: RegularMap, args: SpdTuple, B: SpdMatrix) -> SymMatrix:
     """Perspective of a k-variable map, a k+1 variable map.
 
     Returns ``B^1/2 F(B^-1/2 A_1 B^-1/2, ..., B^-1/2 A_k B^-1/2) B^1/2``.
-    The result is symmetric; it is SPD whenever ``F`` maps into SPD.
+    The result is symmetric; it is SPD whenever ``F`` maps into SPD. It
+    uses the symmetric root of ``B``, not a Cholesky factor: a Cholesky
+    factor equals the root only up to a rotation, and a user's ``F`` need
+    not be unitarily invariant.
     """
     if F.arity != len(args):
         raise ValueError(f"map has arity {F.arity}, got {len(args)} arguments")
@@ -354,8 +377,8 @@ def inductive_mean(t: SpdTuple) -> SpdMatrix:
 
     which at k = 2 is the classic geometric mean. The recursion is the
     unique solution of the updating condition ``G_k = G_{k-1} #_{1/k} A_k``,
-    and that fold is how the mean is computed: two eigendecompositions per
-    item, O(k) in all.
+    and that fold is how the mean is computed: one Cholesky factorization
+    and one eigendecomposition per item after the first, O(k) in all.
     """
     if len(t) == 1:
         return t[0]
@@ -372,10 +395,12 @@ def variant_mean(t: SpdTuple) -> SpdMatrix:
     It agrees with :func:`inductive_mean` for k <= 2 and differs for
     k >= 3; it satisfies ``H_k(A, I, ..., I) = A^(1/k)``.
 
-    Each level j is one stacked congruence and one stacked power over the
-    j - 1 items before it, so the mean costs k(k+1)/2 - 1 eigendecompositions,
-    O(k^2): at dim 3, k 200 that is 20099 and 88 ms, against 17 ms for the
-    inductive mean (numpy 2.4, OpenBLAS on one thread, 2-vCPU x86 host).
+    Each level j factors its last item by Cholesky and is then one stacked
+    congruence and one stacked power over the j - 1 items before it, so the
+    mean costs k(k-1)/2 eigendecompositions plus k - 1 Cholesky
+    factorizations, O(k^2): at dim 3, k 200 that is 19900 and 199, and
+    about 80 ms, against 12 ms for the inductive mean (numpy 2.4, OpenBLAS
+    on one thread, shared 2-vCPU x86 host).
     """
     if len(t) == 1:
         return t[0]
@@ -390,17 +415,25 @@ def arithmetic_mean(t: SpdTuple) -> SpdMatrix:
 
 
 def harmonic_mean(t: SpdTuple) -> SpdMatrix:
-    """Inverse of the arithmetic mean of the inverses."""
+    """Inverse of the arithmetic mean of the inverses.
+
+    Each inverse is ``L^-T L^-1`` from a Cholesky factorization, exactly
+    symmetrized; no eigendecomposition until the result is certified.
+    """
     if len(t) == 1:
         return t[0]
-    inv = power_arr(_stack(t), -1.0)
-    return certify(power_arr(_arithmetic_arr(inv), -1.0)[None])[0]
+    inv = _inverse_arr(_stack(t))
+    return certify(_inverse_arr(_arithmetic_arr(inv))[None])[0]
 
 
 def karcher_residual(X: SpdMatrix, t: SpdTuple) -> SymMatrix:
     """Log-sum residual ``sum_i log(X^-1/2 A_i X^-1/2)``.
 
-    The Karcher mean is the unique SPD matrix at which this vanishes.
+    The Karcher mean is the unique SPD matrix at which this vanishes. It
+    takes the symmetric root ``X^-1/2``, not a Cholesky factor: the log-sum
+    is defined in that basis (a Cholesky factor returns it rotated), and
+    this function and the solver share one computation, so a solve that
+    stopped below its tolerance reads back the very residual it stopped on.
     """
     if X.dim != t.dim:
         raise ShapeError(f"dimension mismatch: {X.dim} != {t.dim}")

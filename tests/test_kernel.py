@@ -23,7 +23,8 @@ from spdmeans import (
 )
 
 from spdmeans.harness import _loewner_violation
-from spdmeans.kernel import certify, eigh, exp_arr, log_arr, power_arr, sqrt_pair
+from spdmeans.kernel import (certify, chol_pair, eigh, exp_arr, log_arr, power_arr,
+                             sqrt_pair)
 
 from helpers import random_spd, rel_err
 
@@ -164,6 +165,10 @@ def test_loewner_order_basic():
     assert _loewner_violation(a.entries, bigger, 1e-10) <= 0
     assert _loewner_violation(bigger, a.entries, 1e-10) > 0
     assert _loewner_violation(a.entries, a.entries, 0.0) <= 0  # reflexive
+    # the verdict does not depend on scale: a reversed order fails when tiny
+    eye = np.eye(3)
+    assert _loewner_violation(2e-150 * eye, 1e-150 * eye, 1e-8) > 0
+    assert _loewner_violation(1e-150 * eye, 2e-150 * eye, 1e-8) <= 0
 
 
 def test_loewner_transitive_on_chain():
@@ -263,11 +268,23 @@ def test_core_matches_public_functions_on_stacks_and_matrices():
             assert np.array_equal(out, out.swapaxes(-1, -2))
 
 
+def test_chol_pair_on_stacks_and_matrices():
+    rng = np.random.default_rng(31)
+    stack = np.stack([random_spd(rng, 5, cond=1e4).entries for _ in range(4)])
+    for a in (stack, stack[1]):
+        l, li = chol_pair(a)
+        assert l.shape == li.shape == a.shape
+        assert np.array_equal(l, np.tril(l))
+        assert rel_err(l @ l.swapaxes(-1, -2), a) < 1e-13
+        assert np.abs(li @ l - np.eye(5)).max() < 1e-12
+
+
 def test_core_rejects_stack_with_one_non_pd_member():
     rng = np.random.default_rng(30)
     stack = np.stack([random_spd(rng, 3).entries for _ in range(4)])
     stack[2] = np.diag([1.0, -1e-3, 2.0])
-    for core in (lambda a: power_arr(a, 0.5), log_arr, sqrt_pair):
+    for core in (lambda a: power_arr(a, 0.5), log_arr, sqrt_pair, chol_pair):
+        # the typed error, not numpy's LinAlgError
         with pytest.raises(NotPositiveDefiniteError):
             core(stack)
     with pytest.raises(NotPositiveDefiniteError, match="^matrix 2: "):

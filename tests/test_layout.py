@@ -44,6 +44,39 @@ def private_uses(path):
     ]
 
 
+FACTORIZATIONS = {"eigh", "eigvalsh", "cholesky", "inv"}
+
+
+def linalg_factorizations(path):
+    """Calls of ``<...>.linalg.<factorization>`` and imports from a linalg module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno} calls linalg.{node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in FACTORIZATIONS
+        and (getattr(node.func.value, "attr", None) == "linalg"
+             or getattr(node.func.value, "id", None) == "linalg")
+    ] + [
+        f"{path.name}:{node.lineno} imports from {node.module}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
+    ]
+
+
+def test_factorizations_are_called_only_in_the_kernel():
+    modules = sorted(PACKAGE.glob("*.py"))
+    kernel = PACKAGE / "kernel.py"
+    assert kernel in modules
+    # the rule sees the kernel's own calls, so it would see them elsewhere
+    assert {hit.split()[-1] for hit in linalg_factorizations(kernel)} == {
+        f"linalg.{name}" for name in FACTORIZATIONS}
+    found = [hit for path in modules if path != kernel
+             for hit in linalg_factorizations(path)]
+    assert not found, found
+
+
 def test_no_module_imports_another_modules_private_names():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 5

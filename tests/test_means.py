@@ -28,7 +28,7 @@ from spdmeans import (
 
 from spdmeans.kernel import congruence, inv_sqrt, log_m, sqrt
 
-from helpers import random_spd, rel_err
+from helpers import random_orthogonal, random_spd, rel_err
 
 
 def diag(*vals):
@@ -356,6 +356,23 @@ def test_regular_map_validation():
 
 
 # -- shared mean behavior ------------------------------------------------------
+
+def test_means_return_with_a_factored_operand_at_the_certification_floor():
+    # Spectra reaching down to 3.2e-12, just above default_spd_tol: the
+    # Cholesky factorization of such an operand must not fail where it
+    # certifies. The partners are well conditioned; two operands both at the
+    # floor would ask for a power of a matrix of condition 1e23.
+    rng = np.random.default_rng(52)
+    lam = np.logspace(0.0, -11.5, 64)
+    for _ in range(3):
+        q = random_orthogonal(rng, 64)
+        a = SpdMatrix((q * lam) @ q.T)
+        b, c = random_spd(rng, 64), random_spd(rng, 64)
+        assert isinstance(weighted_geometric_2(a, b, 0.3), SpdMatrix)
+        assert isinstance(inductive_mean(SpdTuple([a, b, c])), SpdMatrix)
+        assert isinstance(variant_mean(SpdTuple([b, c, a])), SpdMatrix)
+        assert isinstance(harmonic_mean(SpdTuple([a, b, c])), SpdMatrix)
+
 
 def test_mean_dispatch_accepts_strings_and_enums():
     rng = np.random.default_rng(46)

@@ -1,0 +1,95 @@
+"""Forward error of the closed-form means against a 50-digit reference.
+
+The reference evaluates each mean from its definition in mpmath at 50
+significant digits, every power and inverse from ``mp.eigsy``. The tuples
+are the harness's own draws, whose items have condition numbers at most
+``cond``. The stated accuracy is a relative max-norm error of at most
+``32 * kappa * eps``, where ``kappa`` is the largest condition number of a
+matrix the definition raises to a power: ``A^-1/2 B A^-1/2`` at each
+two-variable step of a geometric mean, each item and the mean of the
+inverses for the harmonic mean. For a geometric step ``kappa`` can reach
+``cond**2``, and the error follows ``kappa``, not ``cond``: a bound of
+``32 * cond * eps`` fails at cond 1e4 already.
+"""
+
+import numpy as np
+import pytest
+
+from spdmeans import (SpdMatrix, SpdTuple, harmonic_mean, inductive_mean,
+                      weighted_geometric_2)
+from spdmeans.harness import _spd_entries
+
+mpmath = pytest.importorskip("mpmath")
+mp = mpmath.mp
+
+EPS = np.finfo(float).eps
+CONDS = (1e2, 1e4, 1e6, 1e8, 1e10)
+SHAPES = ((2, 2), (3, 3), (4, 4))  # (dim, k)
+SEEDS = range(5)
+
+
+def to_mp(a):
+    return mp.matrix(a.tolist())
+
+
+def mp_spectral(a, *powers):
+    """Powers of ``a`` and its condition number, from one eigendecomposition."""
+    w, q = mp.eigsy(a)
+    w = [w[i] for i in range(a.rows)]
+    return [q * mp.diag([x ** p for x in w]) * q.T for p in powers], max(w) / min(w)
+
+
+def mp_geometric_2(a, b, t):
+    (s, si), _ = mp_spectral(a, mp.mpf(0.5), mp.mpf(-0.5))
+    (ct,), kappa = mp_spectral(si * b * si, t)
+    return s * ct * s, kappa
+
+
+def mp_inductive(items):
+    g, kappa = items[0], 1
+    for j in range(1, len(items)):
+        g, kj = mp_geometric_2(g, items[j], mp.mpf(1) / (j + 1))
+        kappa = max(kappa, kj)
+    return g, kappa
+
+
+def mp_harmonic(items):
+    inverses, kappas = zip(*(mp_spectral(a, -1) for a in items))
+    total = inverses[0][0]
+    for (inv,) in inverses[1:]:
+        total += inv
+    (h,), kappa = mp_spectral(total / len(items), -1)
+    return h, max(kappa, *kappas)
+
+
+def rel_error(actual, reference):
+    """Relative max-norm distance of a float array from an mpmath matrix."""
+    diff = to_mp(actual) - reference
+    cells = [(i, j) for i in range(reference.rows) for j in range(reference.cols)]
+    scale = max(abs(reference[c]) for c in cells)
+    return float(max(abs(diff[c]) for c in cells) / scale)
+
+
+CASES = {
+    "weighted_geometric_2": (
+        lambda t: weighted_geometric_2(t[0], t[1], 0.3),
+        lambda items: mp_geometric_2(items[0], items[1], mp.mpf(0.3)),
+    ),
+    "inductive": (inductive_mean, mp_inductive),
+    "harmonic": (harmonic_mean, mp_harmonic),
+}
+
+
+@pytest.mark.parametrize("cond", CONDS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_forward_error_against_50_digit_reference(name, cond):
+    compute, reference = CASES[name]
+    with mp.workdps(50):
+        for dim, k in SHAPES:
+            for seed in SEEDS:
+                arrs = [_spd_entries(seed, dim, cond, f"item{i}") for i in range(k)]
+                t = SpdTuple([SpdMatrix(a) for a in arrs])
+                expected, kappa = reference([to_mp(a) for a in arrs])
+                err = rel_error(compute(t).entries, expected)
+                bound = 32.0 * float(kappa) * EPS
+                assert err <= bound, (dim, k, seed, err, bound)

@@ -198,20 +198,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_mean(args: argparse.Namespace) -> int:
+    mf = load_matrix_file(args.input, args.format)
+    items = certify(sym_part(np.stack(mf.matrices)))
+    cfg = SolverConfig(residual_tol=args.tol, max_iter=args.max_iter)
     try:
-        mf = load_matrix_file(args.input, args.format)
-        items = certify(sym_part(np.stack(mf.matrices)))
-        cfg = SolverConfig(residual_tol=args.tol, max_iter=args.max_iter)
         result = mean(args.kind, SpdTuple(items), cfg)
-        out = MatrixFile(dim=result.dim, matrices=[np.asarray(result.entries)])
-        _write_output(render_matrix_file(out, args.format), args.output)
-        return 0
     except ConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return 3
-    except (SpdMeansError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    out = MatrixFile(dim=result.dim, matrices=[np.asarray(result.entries)])
+    _write_output(render_matrix_file(out, args.format), args.output)
+    return 0
 
 
 def _report_line(r: CheckReport) -> str:
@@ -221,47 +218,44 @@ def _report_line(r: CheckReport) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        suite = list(CHECK_NAMES) if args.suite == "all" else [
-            s.strip() for s in args.suite.split(",") if s.strip()
-        ]
-        kinds = None if args.kinds is None else [
-            MeanKind(s.strip()) for s in args.kinds.split(",") if s.strip()
-        ]
-        spec = GenSpec(dim=args.dim, k=args.k, seed=args.seed,
-                       cond_bound=args.cond, structure=args.structure)
-        reports = run_suite(suite, spec, trials=args.trials, tol=args.tol,
-                            kinds=kinds)
-        for r in reports:
-            print(_report_line(r))
-        failed = sum(r.failures > 0 for r in reports)
-        print(f"{len(reports)} checks, {failed} failed")
-        return 1 if failed else 0
-    except (SpdMeansError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    suite = list(CHECK_NAMES) if args.suite == "all" else [
+        s.strip() for s in args.suite.split(",") if s.strip()
+    ]
+    kinds = None if args.kinds is None else [
+        MeanKind(s.strip()) for s in args.kinds.split(",") if s.strip()
+    ]
+    spec = GenSpec(dim=args.dim, k=args.k, seed=args.seed,
+                   cond_bound=args.cond, structure=args.structure)
+    reports = run_suite(suite, spec, trials=args.trials, tol=args.tol,
+                        kinds=kinds)
+    for r in reports:
+        print(_report_line(r))
+    failed = sum(r.failures > 0 for r in reports)
+    print(f"{len(reports)} checks, {failed} failed")
+    return 1 if failed else 0
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        spec = GenSpec(dim=args.dim, k=args.k, seed=args.seed,
-                       cond_bound=args.cond, structure=args.structure)
-        t = gen_tuple(spec)
-        out = MatrixFile(dim=spec.dim,
-                         matrices=[np.asarray(a.entries) for a in t])
-        _write_output(render_matrix_file(out, args.format), args.output)
-        return 0
-    except (SpdMeansError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = GenSpec(dim=args.dim, k=args.k, seed=args.seed,
+                   cond_bound=args.cond, structure=args.structure)
+    t = gen_tuple(spec)
+    out = MatrixFile(dim=spec.dim,
+                     matrices=[np.asarray(a.entries) for a in t])
+    _write_output(render_matrix_file(out, args.format), args.output)
+    return 0
 
 
 _COMMANDS = {"mean": cmd_mean, "check": cmd_check, "gen": cmd_gen}
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a package, value or OS error it raises exits 2."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (SpdMeansError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

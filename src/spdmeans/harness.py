@@ -176,10 +176,6 @@ def _commuting_parts(spec: GenSpec):
     return q, lams, SpdTuple(certify(rebuild(q, lams)))
 
 
-def _entries(t: SpdTuple) -> np.ndarray:
-    return np.stack([a.entries for a in t])
-
-
 def _block_sizes(dim: int) -> tuple[int, int]:
     return (dim + 1) // 2, dim // 2
 
@@ -197,7 +193,7 @@ def _block_parts(spec: GenSpec, d1: int, d2: int):
     """The two diagonal-block tuples and the certified block-diagonal tuple."""
     xs = _gen_items(replace(spec, dim=d1, structure="generic"), "xitem")
     ys = _gen_items(replace(spec, dim=d2, structure="generic"), "yitem")
-    return xs, ys, SpdTuple(certify(_assemble_block(_entries(xs), _entries(ys))))
+    return xs, ys, SpdTuple(certify(_assemble_block(xs.stack, ys.stack)))
 
 
 def gen_spd(spec: GenSpec) -> SpdMatrix:
@@ -297,7 +293,7 @@ def check_concavity(kind: MeanKind | str, spec: GenSpec,
         tb = _gen_items(sub, "second")
         lam = float(_stream(sub.seed, "lambda").uniform(0.0, 1.0))
         combo = lam * mean(kind, ta).entries + (1.0 - lam) * mean(kind, tb).entries
-        mixed = SpdTuple(certify(lam * _entries(ta) + (1.0 - lam) * _entries(tb)))
+        mixed = SpdTuple(certify(lam * ta.stack + (1.0 - lam) * tb.stack))
         return _loewner_violation(combo, mean(kind, mixed).entries, tol)
 
     return _sweep(f"concavity[{kind.value}]", spec, trials, trial)
@@ -322,7 +318,7 @@ def check_congruence(kind: MeanKind | str, spec: GenSpec,
             if abs(np.linalg.det(c)) >= 1e-6:
                 break
         m0 = mean(kind, t).entries
-        conj = SpdTuple(certify(congruence_arr(c, _entries(t))))
+        conj = SpdTuple(certify(congruence_arr(c, t.stack)))
         return _releq_violation(
             mean(kind, conj).entries, congruence_arr(c, m0), tol
         )
@@ -342,7 +338,7 @@ def check_self_dual(kind: MeanKind | str, spec: GenSpec,
 
     def trial(sub: GenSpec) -> float:
         t = gen_tuple(sub)
-        inv_t = SpdTuple(certify(power_arr(_entries(t), -1.0)))
+        inv_t = SpdTuple(certify(power_arr(t.stack, -1.0)))
         if kind is MeanKind.ARITHMETIC:
             lhs = arithmetic_mean(inv_t)
             rhs = inverse(harmonic_mean(t))
@@ -370,7 +366,7 @@ def check_determinant(kind: MeanKind | str, spec: GenSpec,
 
     def trial(sub: GenSpec) -> float:
         t = gen_tuple(sub)
-        ld_target = float(np.log(eigvalsh(_entries(t))).sum()) / len(t)
+        ld_target = float(np.log(eigvalsh(t.stack)).sum()) / len(t)
         ld_actual = float(np.log(eigvalsh(mean(kind, t).entries)).sum())
         return abs(math.expm1(ld_actual - ld_target)) - tol
 
@@ -408,14 +404,14 @@ def check_updating(kind: MeanKind | str, spec: GenSpec,
 
     def trial(sub: GenSpec) -> float:
         t = gen_tuple(sub)
-        ext = SpdTuple(certify(np.concatenate([_entries(t), np.eye(sub.dim)[None]])))
+        ext = SpdTuple(certify(np.concatenate([t.stack, np.eye(sub.dim)[None]])))
         p = sub.k / (sub.k + 1)
         if kind is MeanKind.INDUCTIVE:
             lhs = inductive_mean(ext)
             rhs = power(inductive_mean(t), p)
         else:
             lhs = variant_mean(ext)
-            rhs = variant_mean(SpdTuple(certify(power_arr(_entries(t), p))))
+            rhs = variant_mean(SpdTuple(certify(power_arr(t.stack, p))))
         return _releq_violation(lhs.entries, rhs.entries, tol)
 
     return _sweep(f"updating[{kind.value}]", spec, trials, trial)
@@ -463,7 +459,7 @@ def check_jensen_contraction(F: RegularMap, spec: GenSpec,
         t = gen_tuple(sub)
         c = _contraction(sub)
         lhs = congruence_arr(c, F.fn(t).entries)
-        conj = SpdTuple(certify(congruence_arr(c, _entries(t))))
+        conj = SpdTuple(certify(congruence_arr(c, t.stack)))
         return _loewner_violation(lhs, F.fn(conj).entries, tol)
 
     return _sweep(name, spec, trials, trial)
@@ -488,7 +484,7 @@ def check_jensen_pair(F: RegularMap, spec: GenSpec,
         lhs = (congruence_arr(x, F.fn(ta).entries)
                + congruence_arr(y, F.fn(tb).entries))
         combo = SpdTuple(certify(
-            congruence_arr(x, _entries(ta)) + congruence_arr(y, _entries(tb))))
+            congruence_arr(x, ta.stack) + congruence_arr(y, tb.stack)))
         return _loewner_violation(lhs, F.fn(combo).entries, tol)
 
     return _sweep(name, spec, trials, trial)

@@ -1,7 +1,8 @@
 """Functional calculus for dense real symmetric matrices.
 
 Value types certify their invariants once at construction (exact symmetry,
-finite entries, positive definiteness) and are immutable afterwards.
+finite entries, positive definiteness) and are immutable afterwards. An
+``SpdMatrix`` is a ``SymMatrix`` that also holds its certification witness.
 
 Every matrix function goes through the package's one array-level spectral
 core, functions on float64 arrays of shape ``(..., n, n)``, one matrix or a
@@ -14,6 +15,8 @@ primitive, :func:`chol_pair`, for congruences that need some factor
 ``A = L L^T`` rather than the symmetric root. :func:`certify` is the one
 way a freshly computed stack becomes ``SpdMatrix`` values: one stacked
 eigenvalue solve, then the rule ``SpdMatrix`` applies, member by member.
+The trusted constructors ``SymMatrix._wrap`` and ``SpdMatrix._certified``
+are called only in this module.
 """
 
 from __future__ import annotations
@@ -149,54 +152,39 @@ class SymMatrix:
         return f"SymMatrix(dim={self.dim})"
 
 
-class SpdMatrix:
+class SpdMatrix(SymMatrix):
     """A symmetric matrix certified positive definite.
 
     ``min_eig_witness`` is the smallest eigenvalue found at certification
     time; it is strictly above the tolerance in force (``default_spd_tol``
     of the entries unless an explicit ``tol`` was passed). A matrix that
-    fails certification is rejected, never repaired.
+    fails certification is rejected, never repaired. A ``SymMatrix``
+    argument, an ``SpdMatrix`` included, is certified as it stands.
     """
 
-    __slots__ = ("base", "min_eig_witness")
+    __slots__ = ("min_eig_witness",)
 
-    base: SymMatrix
     min_eig_witness: float
 
     def __init__(self, values, tol: float | None = None) -> None:
-        base = values if isinstance(values, SymMatrix) else SymMatrix(values)
+        if isinstance(values, SymMatrix):
+            self.entries = values.entries
+        else:
+            super().__init__(values)
         if tol is None:
-            tol = default_spd_tol(base.entries)
-        witness = float(eigvalsh(base.entries)[0])
+            tol = default_spd_tol(self.entries)
+        witness = float(eigvalsh(self.entries)[0])
         _require_pd(witness, tol)
-        self.base = base
         self.min_eig_witness = witness
 
     @classmethod
-    def _certified(cls, base: SymMatrix, witness: float) -> "SpdMatrix":
-        # Trusted path for a witness the caller has already checked.
-        obj = cls.__new__(cls)
-        obj.base = base
+    def _certified(cls, a: np.ndarray, witness: float, prefix: str = "") -> "SpdMatrix":
+        # Trusted path for a fresh array with a known smallest eigenvalue:
+        # _wrap's checks first (so the floor is finite), then __init__'s rule.
+        obj = cls._wrap(a)
+        _require_pd(witness, default_spd_tol(a), prefix)
         obj.min_eig_witness = witness
         return obj
-
-    @classmethod
-    def _from_spectrum(cls, v: np.ndarray, fw: np.ndarray) -> "SpdMatrix":
-        # Trusted path for ``V diag(fw) V^T`` with V orthonormal: its
-        # smallest eigenvalue is min(fw), no second solve needed. Still
-        # holds the certified invariant: it must beat the default floor.
-        base = SymMatrix._wrap(rebuild(v, fw))
-        witness = float(fw.min())
-        _require_pd(witness, default_spd_tol(base.entries))
-        return cls._certified(base, witness)
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.base.entries
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
 
     def __repr__(self) -> str:
         return f"SpdMatrix(dim={self.dim}, min_eig={self.min_eig_witness:.3e})"
@@ -293,23 +281,19 @@ def congruence_arr(c: np.ndarray, a: np.ndarray) -> np.ndarray:
 def certify(stack: np.ndarray) -> list[SpdMatrix]:
     """Certify each member of a fresh, exactly symmetric ``(k, n, n)`` stack.
 
-    One stacked eigenvalue solve. Member i passes the rule of
-    :class:`SpdMatrix`, a smallest eigenvalue above ``default_spd_tol`` of
-    its entries, and becomes an ``SpdMatrix`` holding that eigenvalue as its
-    witness; the first member that fails raises ``NotPositiveDefiniteError``
-    naming its index. The caller must own ``stack``; it is frozen in place.
+    One finiteness check and one eigenvalue solve over the whole stack.
+    Member i passes the rule of :class:`SpdMatrix`, a smallest eigenvalue
+    above ``default_spd_tol`` of its entries, and becomes an ``SpdMatrix``
+    viewing its slice of the stack, with that eigenvalue as its witness; the
+    first member that fails raises ``NotPositiveDefiniteError`` naming its
+    index. The caller must own ``stack``; it is frozen in place.
     """
     if not np.isfinite(stack).all():
         raise DomainError("matrix entries must be finite")
     witnesses = eigvalsh(stack)[:, 0].tolist()
     stack.setflags(write=False)
-    out = []
-    for i, (a, witness) in enumerate(zip(stack, witnesses)):
-        _require_pd(witness, default_spd_tol(a), f"matrix {i}: ")
-        base = SymMatrix.__new__(SymMatrix)
-        base.entries = a
-        out.append(SpdMatrix._certified(base, witness))
-    return out
+    return [SpdMatrix._certified(a, witness, f"matrix {i}: ")
+            for i, (a, witness) in enumerate(zip(stack, witnesses))]
 
 
 def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
@@ -320,9 +304,9 @@ def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
     A : SpdMatrix
         Matrix to transform.
     f : callable
-        Real function evaluated at each eigenvalue. A non-finite value or a
-        raised ``ValueError``/``OverflowError``/``ZeroDivisionError`` is
-        reported as ``DomainError`` naming the offending eigenvalue.
+        Real function evaluated at each eigenvalue. A non-finite or non-real
+        value, or a raised ``ValueError``/``OverflowError``/``ZeroDivisionError``,
+        is reported as ``DomainError`` naming the offending eigenvalue.
 
     Returns
     -------
@@ -331,11 +315,15 @@ def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
     """
     w, v = eigh(A.entries)
     out = np.empty_like(w)
-    for i, lam in enumerate(w):
+    for i, lam in enumerate(w.tolist()):
         try:
-            out[i] = float(f(float(lam)))
+            y = f(lam)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"f({lam!r}) failed: {exc}") from exc
+        try:
+            out[i] = float(y)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"f({lam!r}) is not a real number: {y!r}") from exc
     if not np.isfinite(out).all():
         bad = float(w[~np.isfinite(out)][0])
         raise DomainError(f"f evaluated non-finite at eigenvalue {bad!r}")
@@ -350,7 +338,8 @@ def power(A: SpdMatrix, p: float) -> SpdMatrix:
     would need one.
     """
     w, v = eigh_pd(A.entries)
-    return SpdMatrix._from_spectrum(v, w**p)
+    fw = w**p
+    return SpdMatrix._certified(rebuild(v, fw), float(fw.min()))
 
 
 def sqrt(A: SpdMatrix) -> SpdMatrix:
@@ -379,7 +368,8 @@ def log_m(A: SpdMatrix) -> SymMatrix:
 def exp_m(S: SymMatrix) -> SpdMatrix:
     """Matrix exponential of a symmetric matrix; the result is SPD."""
     w, v = eigh(S.entries)
-    return SpdMatrix._from_spectrum(v, np.exp(w))
+    fw = np.exp(w)
+    return SpdMatrix._certified(rebuild(v, fw), float(fw.min()))
 
 
 def congruence(C, A: SymMatrix) -> SymMatrix:

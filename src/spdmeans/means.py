@@ -83,7 +83,8 @@ class SpdTuple:
     """Ordered tuple of same-dimension SPD matrices.
 
     Order is significant: the means defined here are not permutation
-    invariant for k >= 3.
+    invariant for k >= 3. :attr:`stack` gives the items' entries as one
+    ``(k, n, n)`` array, the form the array-level means take.
     """
 
     __slots__ = ("items",)
@@ -108,6 +109,11 @@ class SpdTuple:
     @property
     def dim(self) -> int:
         return self.items[0].dim
+
+    @property
+    def stack(self) -> np.ndarray:
+        """A fresh, writable ``(k, n, n)`` copy of the items' entries."""
+        return np.stack([a.entries for a in self.items])
 
     def __len__(self) -> int:
         return len(self.items)
@@ -321,10 +327,6 @@ def _karcher_arr(stack: np.ndarray, cfg: SolverConfig):
     )
 
 
-def _stack(t: SpdTuple) -> np.ndarray:
-    return np.stack([a.entries for a in t])
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -364,7 +366,7 @@ def perspective(F: RegularMap, args: SpdTuple, B: SpdMatrix) -> SymMatrix:
     if args.dim != B.dim:
         raise ShapeError(f"dimension mismatch: {args.dim} != {B.dim}")
     bs, bis = sqrt_pair(B.entries)
-    conj = SpdTuple(certify(congruence_arr(bis, _stack(args))))
+    conj = SpdTuple(certify(congruence_arr(bis, args.stack)))
     return SymMatrix(congruence_arr(bs, F.fn(conj).entries))
 
 
@@ -404,7 +406,7 @@ def variant_mean(t: SpdTuple) -> SpdMatrix:
     """
     if len(t) == 1:
         return t[0]
-    return certify(_variant_arr(_stack(t))[None])[0]
+    return certify(_variant_arr(t.stack)[None])[0]
 
 
 def arithmetic_mean(t: SpdTuple) -> SpdMatrix:
@@ -422,7 +424,7 @@ def harmonic_mean(t: SpdTuple) -> SpdMatrix:
     """
     if len(t) == 1:
         return t[0]
-    inv = _inverse_arr(_stack(t))
+    inv = _inverse_arr(t.stack)
     return certify(_inverse_arr(_arithmetic_arr(inv))[None])[0]
 
 
@@ -437,7 +439,7 @@ def karcher_residual(X: SpdMatrix, t: SpdTuple) -> SymMatrix:
     """
     if X.dim != t.dim:
         raise ShapeError(f"dimension mismatch: {X.dim} != {t.dim}")
-    _, s, _, _ = _karcher_state(X.entries, _stack(t))
+    _, s, _, _ = _karcher_state(X.entries, t.stack)
     return SymMatrix(s)
 
 
@@ -454,7 +456,7 @@ def karcher_mean(t: SpdTuple, cfg: SolverConfig | None = None) -> SpdMatrix:
         cfg = SolverConfig()
     if len(t) == 1:
         return t[0]
-    x, _ = _karcher_arr(_stack(t), cfg)
+    x, _ = _karcher_arr(t.stack, cfg)
     return certify(x[None])[0]
 
 
@@ -488,7 +490,7 @@ def inductive_auxiliary(k: int) -> RegularMap:
         raise ValueError("k must be >= 1")
 
     def fn(t: SpdTuple) -> SymMatrix:
-        return power(inductive_mean(t), k / (k + 1)).base
+        return power(inductive_mean(t), k / (k + 1))
 
     return RegularMap(arity=k, fn=fn)
 
@@ -503,6 +505,6 @@ def variant_auxiliary(k: int) -> RegularMap:
     p = k / (k + 1)
 
     def fn(t: SpdTuple) -> SymMatrix:
-        return variant_mean(SpdTuple([power(a, p) for a in t])).base
+        return variant_mean(SpdTuple([power(a, p) for a in t]))
 
     return RegularMap(arity=k, fn=fn)

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdmeans import GenSpec, MeanKind, SpdMatrix, SpdTuple, gen_tuple, mean
+from spdmeans import (ConvergenceError, GenSpec, MeanKind, SpdMatrix, SpdTuple,
+                      gen_tuple, mean)
 from spdmeans.cli import (
     InputError,
     MatrixFile,
@@ -243,6 +244,19 @@ def test_check_bad_flags(capsys):
     code, _, err = run(["check", "--suite", "two_var", "--trials", "2",
                         "--cond", "1e9"], capsys)
     assert code == 2
+
+
+def test_errors_of_every_command_exit_2(tmp_path, capsys, monkeypatch):
+    # only `mean` maps non-convergence to 3; from `check` it is an error
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("stuck", np.eye(2), 1.0, 1)
+
+    monkeypatch.setattr("spdmeans.cli.run_suite", no_convergence)
+    code, out, err = run(["check", "--suite", "two_var"], capsys)
+    assert (code, out, err) == (2, "", "error: stuck\n")
+    code, out, err = run(["gen", "--dim", "2", "--k", "2", "--output",
+                          str(tmp_path / "missing" / "t.json")], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_argparse_rejects_unknown_flags(capsys):

@@ -85,6 +85,12 @@ def test_spectral_apply_domain_errors():
         spectral_apply(a, lambda t: float("nan"))
     with pytest.raises(DomainError):
         spectral_apply(a, lambda t: math.sqrt(t - 100.0))
+    # a non-real value is a domain error naming the eigenvalue, not a TypeError
+    b = SpdMatrix(np.diag([1.0, 4.0]))
+    with pytest.raises(DomainError, match=r"^f\(1\.0\) is not a real number"):
+        spectral_apply(b, lambda t: (t - 2) ** 0.5)
+    with pytest.raises(DomainError, match=r"^f\(1\.0\) is not a real number"):
+        spectral_apply(b, lambda t: None)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -131,6 +137,15 @@ def test_exp_m_always_spd():
     assert e.min_eig_witness > 0
 
 
+def test_exp_m_overflow_is_a_domain_error():
+    # exp overflows to inf before the result is certified; the finiteness
+    # check comes first, so the error is typed, not a PD failure at an
+    # infinite floor
+    for s in ([[1.0, 800.0], [800.0, 1.0]], np.diag([800.0, 1.0])):
+        with pytest.raises(DomainError):
+            exp_m(SymMatrix(s))
+
+
 def test_congruence_values_and_shape_check():
     c = [[1.0, 2.0], [0.0, 1.0]]
     a = SymMatrix([[1.0, 0.0], [0.0, 2.0]])
@@ -150,7 +165,7 @@ def test_congruence_by_orthogonal_preserves_spectrum():
     rng = np.random.default_rng(25)
     a = random_spd(rng, 6)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    rotated = congruence(q, a.base)
+    rotated = congruence(q, a)
     w0 = eigh(a.entries)[0]
     w1 = eigh(rotated.entries)[0]
     assert np.abs(w0 - w1).max() < 1e-9 * np.abs(w0).max()
@@ -238,6 +253,23 @@ def test_spd_certification():
         assert m.min_eig_witness == SpdMatrix(a).min_eig_witness
         assert np.array_equal(m.entries, a)
         assert not m.entries.flags.writeable
+
+
+def test_spd_matrix_is_a_sym_matrix():
+    a = SpdMatrix(np.eye(3))
+    assert isinstance(a, SymMatrix)
+    assert not hasattr(a, "__dict__")
+    # a symmetric or SPD argument is certified as it stands
+    again = SpdMatrix(a)
+    assert again.entries is a.entries
+    assert again.min_eig_witness == a.min_eig_witness
+    assert SpdMatrix(SymMatrix(np.diag([2.0, 3.0]))).min_eig_witness == 2.0
+    with pytest.raises(NotPositiveDefiniteError):
+        SpdMatrix(a, tol=2.0)
+    with pytest.raises(NotPositiveDefiniteError):
+        SpdMatrix(SymMatrix(np.diag([1.0, -1.0])))
+    # functions typed on SymMatrix take an SpdMatrix directly
+    assert np.array_equal(congruence(np.eye(3), a).entries, a.entries)
 
 
 def test_entries_are_read_only():

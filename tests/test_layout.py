@@ -97,3 +97,24 @@ def test_every_exported_name_is_bound_and_listed_once():
         assert not repeated, f"{module.__name__}.__all__ repeats {repeated}"
         unbound = [n for n in names if not hasattr(module, n)]
         assert not unbound, f"{module.__name__}.__all__ lists unbound {unbound}"
+
+
+def new_calls(path):
+    """Calls of ``<...>.__new__``, the way around a class's checked constructor."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno} calls __new__"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+    ]
+
+
+def test_trusted_construction_stays_in_the_kernel():
+    modules = sorted(PACKAGE.glob("*.py"))
+    kernel = PACKAGE / "kernel.py"
+    # the rule sees the kernel's own trusted constructor
+    assert new_calls(kernel)
+    found = [hit for path in modules if path != kernel for hit in new_calls(path)]
+    assert not found, found

@@ -130,12 +130,12 @@ def defining_recursion(items, variant):
         return items[0]
     b, p = items[-1], (k - 1) / k
     bis = inv_sqrt(b).entries
-    conj = [SpdMatrix(congruence(bis, a.base)) for a in items[:-1]]
+    conj = [SpdMatrix(congruence(bis, a)) for a in items[:-1]]
     if variant:
         inner = defining_recursion([power(a, p) for a in conj], True)
     else:
         inner = power(defining_recursion(conj, False), p)
-    return SpdMatrix(congruence(sqrt(b).entries, inner.base))
+    return SpdMatrix(congruence(sqrt(b).entries, inner))
 
 
 @pytest.mark.parametrize("kind", ["inductive", "variant"])
@@ -285,7 +285,7 @@ def test_karcher_residual_matches_per_matrix_oracle():
     t = SpdTuple([random_spd(rng, 5) for _ in range(7)])
     x = random_spd(rng, 5)
     c = inv_sqrt(x).entries
-    oracle = sum(log_m(SpdMatrix(congruence(c, a.base))).entries for a in t)
+    oracle = sum(log_m(SpdMatrix(congruence(c, a))).entries for a in t)
     assert rel_err(karcher_residual(x, t).entries, oracle) < 1e-12
     m = karcher_mean(t, SolverConfig(residual_tol=1e-12))
     assert np.linalg.norm(karcher_residual(m, t).entries) <= 1e-12
@@ -308,7 +308,7 @@ def test_solver_config_validation():
 
 def test_perspective_scalar_value():
     # the perspective of the square root is the geometric mean: P(4, 9) = 6
-    root = RegularMap(arity=1, fn=lambda t: power(t[0], 0.5).base)
+    root = RegularMap(arity=1, fn=lambda t: power(t[0], 0.5))
     out = perspective(root, SpdTuple([diag(4.0)]), diag(9.0))
     assert abs(out.entries[0, 0] - 6.0) < 1e-12
 
@@ -352,7 +352,7 @@ def test_auxiliary_scalar_case():
 
 def test_regular_map_validation():
     with pytest.raises(ValueError):
-        RegularMap(arity=0, fn=lambda t: t[0].base)
+        RegularMap(arity=0, fn=lambda t: t[0])
 
 
 # -- shared mean behavior ------------------------------------------------------
@@ -416,6 +416,19 @@ def test_spd_tuple_validation():
         SpdTuple([np.eye(2)])
     with pytest.raises(ShapeError):
         SpdTuple([random_spd(rng, 2), random_spd(rng, 3)])
+
+
+def test_spd_tuple_stack_is_a_fresh_copy():
+    rng = np.random.default_rng(52)
+    t = SpdTuple([random_spd(rng, 3) for _ in range(4)])
+    s1, s2 = t.stack, t.stack
+    assert s1.shape == (4, 3, 3)
+    assert all(np.array_equal(m, a.entries) for m, a in zip(s1, t, strict=True))
+    assert s1 is not s2 and not np.shares_memory(s1, s2)
+    assert s1.flags.writeable
+    s1[0, 0, 0] = -1.0
+    assert t[0].entries[0, 0] != -1.0
+    assert np.array_equal(t.stack, s2)
 
 
 def test_updating_rules():

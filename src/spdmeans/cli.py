@@ -1,9 +1,11 @@
 """Command-line interface: compute means, run checks, generate test data.
 
-Input files pass one gate, :func:`parse_matrix_text` (shape, finite
-entries, symmetry within ``SYMMETRY_RTOL``); ``mean`` then certifies the
-matrices as one stack with :func:`spdmeans.kernel.certify`, so a matrix that
-is not positive definite is reported by its index in the file.
+Input files pass the kernel's own gate: :func:`parse_matrix_text` makes
+each grid a :class:`spdmeans.kernel.SymMatrix` (square, finite entries,
+symmetry within round-off, stored symmetrized) of the file's dimension;
+``mean`` then certifies the gated matrices as one stack with
+:func:`spdmeans.kernel.certify`. Either way a bad matrix is reported by its
+index in the file.
 
 Exit codes: 0 success (and all checks passed), 1 at least one check
 failed, 2 bad input (flags, files, non-SPD matrices), 3 the Karcher
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import CHECK_NAMES, CheckReport, GenSpec, STRUCTURES, gen_tuple, run_suite
-from .kernel import SYMMETRY_RTOL, SpdMeansError, certify, sym_part
+from .kernel import SpdMeansError, SymMatrix, certify
 from .means import ConvergenceError, MeanKind, SolverConfig, SpdTuple, mean
 
 __all__ = [
@@ -60,16 +62,11 @@ def _validate_matrices(dim: int, grids: list, labels) -> MatrixFile:
     mats: list[np.ndarray] = []
     for i, grid in enumerate(grids):
         try:
-            a = np.array(grid, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"matrix {i}: not a numeric grid ({exc})") from exc
+            a = SymMatrix(grid).entries
+        except SpdMeansError as exc:
+            raise InputError(f"matrix {i}: {exc}") from exc
         if a.shape != (dim, dim):
             raise InputError(f"matrix {i}: shape {a.shape} != ({dim}, {dim})")
-        if not np.isfinite(a).all():
-            raise InputError(f"matrix {i}: entries must be finite")
-        scale = float(np.abs(a).max())
-        if float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * scale:
-            raise InputError(f"matrix {i}: not symmetric within round-off")
         mats.append(a)
     if labels is not None:
         if (not isinstance(labels, list)
@@ -199,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_mean(args: argparse.Namespace) -> int:
     mf = load_matrix_file(args.input, args.format)
-    items = certify(sym_part(np.stack(mf.matrices)))
+    items = certify(np.stack(mf.matrices))
     cfg = SolverConfig(residual_tol=args.tol, max_iter=args.max_iter)
     try:
         result = mean(args.kind, SpdTuple(items), cfg)

@@ -12,11 +12,13 @@ rebuilt by matmul, exactly symmetric. Powers, logs, exponentials,
 square-root pairs and congruences are built on it, and the public functions
 wrap the value types around it. The core also holds the one Cholesky
 primitive, :func:`chol_pair`, for congruences that need some factor
-``A = L L^T`` rather than the symmetric root. :func:`certify` is the one
-way a freshly computed stack becomes ``SpdMatrix`` values: one stacked
-eigenvalue solve, then the rule ``SpdMatrix`` applies, member by member.
-The trusted constructors ``SymMatrix._wrap`` and ``SpdMatrix._certified``
-are called only in this module.
+``A = L L^T`` rather than the symmetric root. The positive-definiteness
+rule is written once, over a stack: one stacked eigenvalue solve, each
+member's smallest eigenvalue above its own floor. ``SpdMatrix`` applies it
+to one matrix; :func:`certify`, the one way a freshly computed stack becomes
+``SpdMatrix`` values, applies it to the whole stack. The trusted
+constructors ``SymMatrix._wrap`` and ``certify`` are the only callers of
+``__new__``, and ``_wrap`` is called only in this module.
 """
 
 from __future__ import annotations
@@ -75,21 +77,27 @@ class EigenSolverError(SpdMeansError):
     """The symmetric eigensolver failed."""
 
 
-def default_spd_tol(entries: np.ndarray) -> float:
+def default_spd_tol(entries: np.ndarray) -> float | np.ndarray:
     """Positive-definiteness floor used when no explicit tolerance is given.
 
     Relative to the data, so scaling a matrix scales its floor:
-    ``1e-12 * max|entry|``.
+    ``1e-12 * max|entry|``, one floor per member of a stack.
     """
-    return 1e-12 * float(np.abs(entries).max())
+    return 1e-12 * np.abs(entries).max(axis=(-2, -1))
 
 
-def _require_pd(witness: float, tol: float, prefix: str = "") -> None:
-    # The certification rule of SpdMatrix, written once.
-    if witness <= tol:
+def _pd_witnesses(stack: np.ndarray, tol: float | None = None) -> list[float]:
+    # The certification rule, written once: each member of a finite
+    # (k, n, n) stack has its smallest eigenvalue above its floor.
+    witnesses = eigvalsh(stack)[:, 0]
+    floors = default_spd_tol(stack) if tol is None else np.full_like(witnesses, tol)
+    failed = witnesses <= floors
+    if failed.any():
+        i = int(failed.argmax())
         raise NotPositiveDefiniteError(
-            f"{prefix}smallest eigenvalue {witness:.6e} not above tolerance {tol:.3e}"
-        )
+            f"matrix {i}: smallest eigenvalue {witnesses[i]:.6e}"
+            f" not above tolerance {floors[i]:.3e}")
+    return witnesses.tolist()
 
 
 def _square_float_array(values, name: str = "matrix") -> np.ndarray:
@@ -113,7 +121,8 @@ class SymMatrix:
     Construction accepts anything convertible to a square float array whose
     asymmetry is within round-off (``SYMMETRY_RTOL`` relative, max-norm) and
     stores the exactly symmetrized ``(M + M.T) / 2``. Larger asymmetry is an
-    input error. Entries are read-only after construction.
+    input error. A ``SymMatrix`` argument, an ``SpdMatrix`` included, shares
+    its entries. Entries are read-only after construction.
     """
 
     __slots__ = ("entries",)
@@ -121,6 +130,9 @@ class SymMatrix:
     entries: np.ndarray
 
     def __init__(self, values) -> None:
+        if isinstance(values, SymMatrix):
+            self.entries = values.entries
+            return
         a = _square_float_array(values)
         scale = float(np.abs(a).max())
         asym = float(np.abs(a - a.T).max())
@@ -167,24 +179,8 @@ class SpdMatrix(SymMatrix):
     min_eig_witness: float
 
     def __init__(self, values, tol: float | None = None) -> None:
-        if isinstance(values, SymMatrix):
-            self.entries = values.entries
-        else:
-            super().__init__(values)
-        if tol is None:
-            tol = default_spd_tol(self.entries)
-        witness = float(eigvalsh(self.entries)[0])
-        _require_pd(witness, tol)
-        self.min_eig_witness = witness
-
-    @classmethod
-    def _certified(cls, a: np.ndarray, witness: float, prefix: str = "") -> "SpdMatrix":
-        # Trusted path for a fresh array with a known smallest eigenvalue:
-        # _wrap's checks first (so the floor is finite), then __init__'s rule.
-        obj = cls._wrap(a)
-        _require_pd(witness, default_spd_tol(a), prefix)
-        obj.min_eig_witness = witness
-        return obj
+        super().__init__(values)
+        self.min_eig_witness = _pd_witnesses(self.entries[None], tol)[0]
 
     def __repr__(self) -> str:
         return f"SpdMatrix(dim={self.dim}, min_eig={self.min_eig_witness:.3e})"
@@ -281,19 +277,21 @@ def congruence_arr(c: np.ndarray, a: np.ndarray) -> np.ndarray:
 def certify(stack: np.ndarray) -> list[SpdMatrix]:
     """Certify each member of a fresh, exactly symmetric ``(k, n, n)`` stack.
 
-    One finiteness check and one eigenvalue solve over the whole stack.
-    Member i passes the rule of :class:`SpdMatrix`, a smallest eigenvalue
-    above ``default_spd_tol`` of its entries, and becomes an ``SpdMatrix``
-    viewing its slice of the stack, with that eigenvalue as its witness; the
-    first member that fails raises ``NotPositiveDefiniteError`` naming its
-    index. The caller must own ``stack``; it is frozen in place.
+    One finiteness check and one eigenvalue solve over the whole stack, then
+    the rule of :class:`SpdMatrix` per member: a smallest eigenvalue above
+    ``default_spd_tol`` of its entries. The first member that fails raises
+    ``NotPositiveDefiniteError("matrix i: ...")``; otherwise member i becomes
+    an ``SpdMatrix`` viewing its slice, that eigenvalue its witness, with no
+    second check. The caller must own ``stack``; it is frozen in place.
     """
     if not np.isfinite(stack).all():
         raise DomainError("matrix entries must be finite")
-    witnesses = eigvalsh(stack)[:, 0].tolist()
+    witnesses = _pd_witnesses(stack)
     stack.setflags(write=False)
-    return [SpdMatrix._certified(a, witness, f"matrix {i}: ")
-            for i, (a, witness) in enumerate(zip(stack, witnesses))]
+    out = [SpdMatrix.__new__(SpdMatrix) for _ in witnesses]
+    for m, a, witness in zip(out, stack, witnesses):
+        m.entries, m.min_eig_witness = a, witness
+    return out
 
 
 def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
@@ -333,13 +331,11 @@ def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
 def power(A: SpdMatrix, p: float) -> SpdMatrix:
     """Matrix power ``A**p`` for real ``p`` via the functional calculus.
 
-    The eigendecomposition also gives the result's certification witness,
-    ``min(w**p)``, so the value needs no second solve; a Cholesky route
-    would need one.
+    The result is certified by :func:`certify`: its witness is the smallest
+    eigenvalue of the stored entries.
     """
     w, v = eigh_pd(A.entries)
-    fw = w**p
-    return SpdMatrix._certified(rebuild(v, fw), float(fw.min()))
+    return certify(rebuild(v, w**p)[None])[0]
 
 
 def sqrt(A: SpdMatrix) -> SpdMatrix:
@@ -355,7 +351,7 @@ def inv_sqrt(A: SpdMatrix) -> SpdMatrix:
 def inverse(A: SpdMatrix) -> SpdMatrix:
     """Matrix inverse through the eigendecomposition (stays symmetric).
 
-    Like :func:`power`, it takes its witness from the spectrum.
+    Certified like :func:`power`.
     """
     return power(A, -1.0)
 
@@ -366,10 +362,13 @@ def log_m(A: SpdMatrix) -> SymMatrix:
 
 
 def exp_m(S: SymMatrix) -> SpdMatrix:
-    """Matrix exponential of a symmetric matrix; the result is SPD."""
+    """SPD matrix exponential of a symmetric matrix; overflow is a ``DomainError``."""
     w, v = eigh(S.entries)
-    fw = np.exp(w)
-    return SpdMatrix._certified(rebuild(v, fw), float(fw.min()))
+    with np.errstate(over="ignore"):
+        fw = np.exp(w)
+    if not np.isfinite(fw).all():
+        raise DomainError("matrix entries must be finite")
+    return certify(rebuild(v, fw)[None])[0]
 
 
 def congruence(C, A: SymMatrix) -> SymMatrix:

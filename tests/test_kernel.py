@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,7 +141,8 @@ def test_exp_m_always_spd():
 def test_exp_m_overflow_is_a_domain_error():
     # exp overflows to inf before the result is certified; the finiteness
     # check comes first, so the error is typed, not a PD failure at an
-    # infinite floor
+    # infinite floor; numpy's overflow warnings are not emitted either
+    warnings.simplefilter("error")
     for s in ([[1.0, 800.0], [800.0, 1.0]], np.diag([800.0, 1.0])):
         with pytest.raises(DomainError):
             exp_m(SymMatrix(s))
@@ -253,6 +255,11 @@ def test_spd_certification():
         assert m.min_eig_witness == SpdMatrix(a).min_eig_witness
         assert np.array_equal(m.entries, a)
         assert not m.entries.flags.writeable
+    # each member has its own floor: member 1's witness 1e-17 is above its
+    # floor 1e-18 but far below member 0's floor 1e-6
+    mixed = np.stack([1e6 * np.eye(2), 1e-6 * np.diag([1.0, 1e-11])])
+    for m, a in zip(certify(mixed.copy()), mixed, strict=True):
+        assert m.min_eig_witness == SpdMatrix(a).min_eig_witness
 
 
 def test_spd_matrix_is_a_sym_matrix():
@@ -268,6 +275,8 @@ def test_spd_matrix_is_a_sym_matrix():
         SpdMatrix(a, tol=2.0)
     with pytest.raises(NotPositiveDefiniteError):
         SpdMatrix(SymMatrix(np.diag([1.0, -1.0])))
+    # a SymMatrix of an SpdMatrix shares its entries
+    assert SymMatrix(a).entries is a.entries
     # functions typed on SymMatrix take an SpdMatrix directly
     assert np.array_equal(congruence(np.eye(3), a).entries, a.entries)
 
@@ -321,3 +330,9 @@ def test_core_rejects_stack_with_one_non_pd_member():
             core(stack)
     with pytest.raises(NotPositiveDefiniteError, match="^matrix 2: "):
         certify(stack)
+    # a positive witness at or below the member's own floor fails too:
+    # member 2's witness is 1e-19, its floor 1e-18
+    mixed = np.stack([1e6 * np.eye(2), 1e-6 * np.diag([1.0, 1e-11]),
+                      1e-6 * np.diag([1.0, 1e-13])])
+    with pytest.raises(NotPositiveDefiniteError, match="^matrix 2: "):
+        certify(mixed)

@@ -100,21 +100,35 @@ def test_every_exported_name_is_bound_and_listed_once():
 
 
 def new_calls(path):
-    """Calls of ``<...>.__new__``, the way around a class's checked constructor."""
+    """Calls of ``<...>.__new__``, the way around a class's checked constructor.
+
+    Each hit names the qualified function or method that makes the call.
+    """
     tree = ast.parse(path.read_text(), filename=str(path))
-    return [
-        f"{path.name}:{node.lineno} calls __new__"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "__new__"
-    ]
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__new__"):
+                where = scope or "<module>"
+                hits.append(f"{path.name}:{child.lineno} calls __new__ in {where}")
+            visit(child, scope)
+
+    visit(tree, "")
+    return hits
 
 
 def test_trusted_construction_stays_in_the_kernel():
     modules = sorted(PACKAGE.glob("*.py"))
     kernel = PACKAGE / "kernel.py"
-    # the rule sees the kernel's own trusted constructor
+    # the rule sees the kernel's own trusted constructors, one per class
     assert new_calls(kernel)
+    assert {hit.split(" in ")[-1] for hit in new_calls(kernel)} == {
+        "SymMatrix._wrap", "certify"}
     found = [hit for path in modules if path != kernel for hit in new_calls(path)]
     assert not found, found

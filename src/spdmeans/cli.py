@@ -64,7 +64,11 @@ def _validate_matrices(dim: int, grids: list, labels) -> MatrixFile:
         try:
             a = SymMatrix(grid).entries
         except SpdMeansError as exc:
-            raise InputError(f"matrix {i}: {exc}") from exc
+            # name the matrix once: "matrix must be square" -> "matrix 2 must be square"
+            msg = str(exc)
+            raise InputError(msg.replace("matrix", f"matrix {i}", 1)
+                             if msg.startswith("matrix ")
+                             else f"matrix {i}: {msg}") from exc
         if a.shape != (dim, dim):
             raise InputError(f"matrix {i}: shape {a.shape} != ({dim}, {dim})")
         mats.append(a)

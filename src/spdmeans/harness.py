@@ -7,6 +7,13 @@ trial. Failures carry a witness seed: rerunning the same check with
 exactly, because trial t of seed s is trial 0 of the derived seed
 ``(s + t * 0x9E3779B97F4A7C15) mod 2^64``.
 
+Each drawn tuple is one stacked draw from per-item streams: item ``i``
+has a Philox stream for its eigenvalues and one for its Haar basis, both
+seeded from the seed and a hash of the item's tag (``item{i}/eigs``,
+``item{i}/basis``), so an item's entries do not depend on the other items.
+The k Gaussian squares then go through one QR and the whole tuple through
+one rebuild.
+
 Every tuple a check draws or derives (perturbed, mixed, conjugated,
 inverted, extended, block-diagonal, Jensen-combined) is built as one
 ``(k, n, n)`` stack and certified by one :func:`spdmeans.kernel.certify`
@@ -129,6 +136,7 @@ class CheckReport:
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _U64 = 0xFFFFFFFFFFFFFFFF
+_U32 = 0xFFFFFFFF
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -136,43 +144,61 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def _stream(seed: int, purpose: str) -> np.random.Generator:
+    """The Philox stream of ``SeedSequence([seed, tag])``, tag hashed from ``purpose``.
+
+    NumPy turns each integer of that list into its little-endian uint32
+    words, with no high zero words; handing it those words directly skips
+    its per-integer Python conversion and gives the same stream.
+    """
     tag = int.from_bytes(
         hashlib.blake2b(purpose.encode(), digest_size=8).digest(), "big"
     )
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, tag])))
+    words = []
+    for x in (seed, tag):
+        words.append(x & _U32)
+        while x >> 32:
+            x >>= 32
+            words.append(x & _U32)
+    entropy = np.array(words, dtype=np.uint32)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    d = np.diag(r)
-    return q * np.where(d >= 0.0, 1.0, -1.0)
+def _haar(normals: np.ndarray) -> np.ndarray:
+    """Haar orthogonal matrices from standard normal squares: one QR over the
+    stack, each Q column's sign set so that R's diagonal is nonnegative."""
+    q, r = np.linalg.qr(normals)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(d >= 0.0, 1.0, -1.0)[..., None, :]
 
 
-def _draw_eigs(seed: int, dim: int, cond: float, tag: str) -> np.ndarray:
-    u = _stream(seed, f"{tag}/eigs").uniform(-1.0, 1.0, dim)
+def _eig_rows(seed: int, dim: int, cond: float, tags: Sequence[str]) -> np.ndarray:
+    """Log-uniform eigenvalues in ``[cond^-1/2, cond^1/2]``, one row per tag."""
+    u = np.stack([_stream(seed, f"{tag}/eigs").uniform(-1.0, 1.0, dim)
+                  for tag in tags])
     return cond ** (u / 2.0)
 
 
+def _spd_stack(seed: int, dim: int, cond: float, tags: Sequence[str]) -> np.ndarray:
+    """Each tag's SPD entries, from its own streams, as one ``(k, n, n)`` stack."""
+    normals = np.stack([_stream(seed, f"{tag}/basis").standard_normal((dim, dim))
+                        for tag in tags])
+    return rebuild(_haar(normals), _eig_rows(seed, dim, cond, tags))
+
+
 def _spd_entries(seed: int, dim: int, cond: float, tag: str) -> np.ndarray:
-    lam = _draw_eigs(seed, dim, cond, tag)
-    q = _random_orthogonal(_stream(seed, f"{tag}/basis"), dim)
-    return rebuild(q, lam)
+    return _spd_stack(seed, dim, cond, [tag])[0]
 
 
 def _gen_items(spec: GenSpec, prefix: str = "item") -> SpdTuple:
-    return SpdTuple(certify(np.stack([
-        _spd_entries(spec.seed, spec.dim, spec.cond_bound, f"{prefix}{i}")
-        for i in range(spec.k)
-    ])))
+    tags = [f"{prefix}{i}" for i in range(spec.k)]
+    return SpdTuple(certify(_spd_stack(spec.seed, spec.dim, spec.cond_bound, tags)))
 
 
 def _commuting_parts(spec: GenSpec):
     """Shared basis, per-item eigenvalue rows, and the certified tuple."""
-    q = _random_orthogonal(_stream(spec.seed, "item0/basis"), spec.dim)
-    lams = np.stack([
-        _draw_eigs(spec.seed, spec.dim, spec.cond_bound, f"item{i}")
-        for i in range(spec.k)
-    ])
+    q = _haar(_stream(spec.seed, "item0/basis").standard_normal((spec.dim, spec.dim)))
+    lams = _eig_rows(spec.seed, spec.dim, spec.cond_bound,
+                     [f"item{i}" for i in range(spec.k)])
     return q, lams, SpdTuple(certify(rebuild(q, lams)))
 
 
@@ -273,11 +299,10 @@ def check_monotone(kind: MeanKind | str, spec: GenSpec,
     def trial(sub: GenSpec) -> float:
         t = gen_tuple(sub)
         base = mean(kind, t).entries
-        bumped = SpdTuple(certify(np.stack([
-            a.entries + 0.1 * _absmax(a.entries)
-            * _spd_entries(sub.seed, sub.dim, sub.cond_bound, f"pert{i}")
-            for i, a in enumerate(t)
-        ])))
+        pert = _spd_stack(sub.seed, sub.dim, sub.cond_bound,
+                          [f"pert{i}" for i in range(len(t))])
+        scale = 0.1 * np.abs(t.stack).max(axis=(1, 2))
+        bumped = SpdTuple(certify(t.stack + scale[:, None, None] * pert))
         return _loewner_violation(base, mean(kind, bumped).entries, tol)
 
     return _sweep(f"monotone[{kind.value}]", spec, trials, trial)
@@ -313,8 +338,8 @@ def check_congruence(kind: MeanKind | str, spec: GenSpec,
         # the exact invariance beyond testable tolerances.
         while True:
             s = 10.0 ** rng.uniform(-1.0, 1.0, sub.dim)
-            c = (_random_orthogonal(rng, sub.dim) * s) @ \
-                _random_orthogonal(rng, sub.dim)
+            u, v = _haar(rng.standard_normal((2, sub.dim, sub.dim)))
+            c = (u * s) @ v
             if abs(np.linalg.det(c)) >= 1e-6:
                 break
         m0 = mean(kind, t).entries

@@ -364,11 +364,11 @@ def log_m(A: SpdMatrix) -> SymMatrix:
 def exp_m(S: SymMatrix) -> SpdMatrix:
     """SPD matrix exponential of a symmetric matrix; overflow is a ``DomainError``."""
     w, v = eigh(S.entries)
-    with np.errstate(over="ignore"):
-        fw = np.exp(w)
-    if not np.isfinite(fw).all():
-        raise DomainError("matrix entries must be finite")
-    return certify(rebuild(v, fw)[None])[0]
+    # exp(w), or a + a^T in the rebuild, may overflow; certify's finiteness
+    # check turns that into the DomainError
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = rebuild(v, np.exp(w))
+    return certify(a[None])[0]
 
 
 def congruence(C, A: SymMatrix) -> SymMatrix:

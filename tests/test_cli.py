@@ -178,6 +178,25 @@ def test_mean_cli_error_paths(tmp_path, capsys):
                         "--input", str(corrupt)], capsys)
     assert code == 2 and "JSON" in err
 
+    # each input error names its matrix once
+    for grids, line in [
+        ("[[1.0, NaN], [NaN, 1.0]]", "matrix 1 entries must be finite"),
+        ("[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]",
+         "matrix 1 must be square, got shape (2, 3)"),
+        ("[[1.0, 0.5], [0.0, 1.0]]",
+         "matrix 1: asymmetry 5.000e-01 exceeds 1e-12 * max|entry| = 1.000e-12"),
+        ("[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]",
+         "matrix 1: shape (3, 3) != (2, 2)"),
+        ('[[1.0, "x"], ["x", 1.0]]',
+         "matrix 1 is not a numeric grid: could not convert string to float: 'x'"),
+    ]:
+        path = tmp_path / "input.json"
+        path.write_text('{"dim": 2, "matrices": [[[1.0, 0.0], [0.0, 1.0]], '
+                        + grids + "]}")
+        result = run(["mean", "--kind", "inductive", "--input", str(path)],
+                     capsys)
+        assert result == (2, "", f"error: {line}\n")
+
 
 def test_mean_cli_karcher_convergence_failure(tmp_path, capsys):
     path = tmp_path / "t.json"

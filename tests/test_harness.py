@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from spdmeans import CHECK_NAMES, GenSpec, MeanKind, gen_spd, gen_tuple, run_suite
 from spdmeans.harness import (
+    STRUCTURES,
+    _stream,
     _trial_seed,
     check_block_regularity,
     check_commuting,
@@ -20,6 +23,7 @@ from spdmeans.harness import (
     check_updating,
     scalar_mean,
 )
+from spdmeans.kernel import rebuild
 from spdmeans.means import inductive_auxiliary
 
 
@@ -81,6 +85,69 @@ def test_genspec_validation():
     ):
         with pytest.raises(ValueError):
             GenSpec(**bad)
+
+
+# Per-item reference for the draws: the stream layout, one QR per matrix.
+
+def reference_stream(seed, purpose):
+    tag = int.from_bytes(
+        hashlib.blake2b(purpose.encode(), digest_size=8).digest(), "big")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, tag])))
+
+
+def reference_basis(seed, tag, dim):
+    g = reference_stream(seed, f"{tag}/basis").standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+
+
+def reference_eigs(seed, tag, dim, cond):
+    u = reference_stream(seed, f"{tag}/eigs").uniform(-1.0, 1.0, dim)
+    return cond ** (u / 2.0)
+
+
+def reference_items(seed, dim, k, cond, prefix):
+    return np.stack([
+        rebuild(reference_basis(seed, f"{prefix}{i}", dim),
+                reference_eigs(seed, f"{prefix}{i}", dim, cond))
+        for i in range(k)
+    ])
+
+
+def reference_tuple(spec):
+    seed, dim, k, cond = spec.seed, spec.dim, spec.k, spec.cond_bound
+    if spec.structure == "generic":
+        return reference_items(seed, dim, k, cond, "item")
+    if spec.structure == "commuting":
+        q = reference_basis(seed, "item0", dim)
+        return np.stack([rebuild(q, reference_eigs(seed, f"item{i}", dim, cond))
+                         for i in range(k)])
+    d1 = (dim + 1) // 2
+    out = np.zeros((k, dim, dim))
+    out[:, :d1, :d1] = reference_items(seed, d1, k, cond, "xitem")
+    out[:, d1:, d1:] = reference_items(seed, dim - d1, k, cond, "yitem")
+    return out
+
+
+def test_stream_is_the_seed_sequence_of_seed_and_tag():
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    seeds += np.random.default_rng(5).integers(0, 2**64, 20, dtype=np.uint64).tolist()
+    for seed in seeds:
+        for purpose in ("item0/basis", "pert3/eigs", "congr", ""):
+            got = _stream(seed, purpose)
+            want = reference_stream(seed, purpose)
+            assert np.array_equal(got.standard_normal(7), want.standard_normal(7))
+            assert np.array_equal(got.uniform(-1.0, 1.0, 5), want.uniform(-1.0, 1.0, 5))
+
+
+def test_gen_tuple_equals_per_item_draws():
+    for structure in STRUCTURES:
+        for dim in range(1 if structure != "block" else 2, 9):
+            for k in range(1, 7):
+                for seed, cond in ((42, 100.0), (2**64 - 1, 1e6)):
+                    spec = GenSpec(dim, k, seed, cond, structure)
+                    got = gen_tuple(spec).stack
+                    assert got.tobytes() == reference_tuple(spec).tobytes(), spec
 
 
 def test_trial_seed_scheme():

@@ -143,7 +143,9 @@ def test_exp_m_overflow_is_a_domain_error():
     # check comes first, so the error is typed, not a PD failure at an
     # infinite floor; numpy's overflow warnings are not emitted either
     warnings.simplefilter("error")
-    for s in ([[1.0, 800.0], [800.0, 1.0]], np.diag([800.0, 1.0])):
+    # at 709.5, exp(w) is finite but the rebuild's a + a^T overflows
+    for s in ([[1.0, 800.0], [800.0, 1.0]], np.diag([800.0, 1.0]),
+              np.diag([709.5, 1.0])):
         with pytest.raises(DomainError):
             exp_m(SymMatrix(s))
 

@@ -99,28 +99,34 @@ def test_every_exported_name_is_bound_and_listed_once():
         assert not unbound, f"{module.__name__}.__all__ lists unbound {unbound}"
 
 
+def scoped_nodes(tree):
+    """Each node of a syntax tree with the qualified name of the enclosing
+    function or class (``<module>`` at top level)."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            yield child, scope or "<module>"
+            yield from visit(child, scope)
+
+    return visit(tree, "")
+
+
 def new_calls(path):
     """Calls of ``<...>.__new__``, the way around a class's checked constructor.
 
     Each hit names the qualified function or method that makes the call.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
-    hits = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "__new__"):
-                where = scope or "<module>"
-                hits.append(f"{path.name}:{child.lineno} calls __new__ in {where}")
-            visit(child, scope)
-
-    visit(tree, "")
-    return hits
+    return [
+        f"{path.name}:{node.lineno} calls __new__ in {scope}"
+        for node, scope in scoped_nodes(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+    ]
 
 
 def test_trusted_construction_stays_in_the_kernel():
@@ -131,4 +137,34 @@ def test_trusted_construction_stays_in_the_kernel():
     assert {hit.split(" in ")[-1] for hit in new_calls(kernel)} == {
         "SymMatrix._wrap", "certify"}
     found = [hit for path in modules if path != kernel for hit in new_calls(path)]
+    assert not found, found
+
+
+SEEDING = {"SeedSequence", "Philox", "default_rng"}
+
+
+def seeding_uses(path):
+    """Names, attributes and imports of NumPy's seeding constructors, by scope."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node, scope in scoped_nodes(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in SEEDING:
+            hits.append(f"{path.name}:{node.lineno} uses {name} in {scope}")
+    return hits
+
+
+def test_random_streams_are_seeded_only_in_harness_stream():
+    # Every draw goes through the one stream layout; a second seeding site
+    # could re-seed the acceptance tuples by accident.
+    modules = sorted(PACKAGE.glob("*.py"))
+    harness = PACKAGE / "harness.py"
+    assert harness in modules
+    # the rule sees the stream constructor's own seeding
+    assert {hit.split()[2] for hit in seeding_uses(harness)
+            if hit.endswith(" in _stream")} == {"SeedSequence", "Philox"}
+    found = [hit for path in modules for hit in seeding_uses(path)
+             if not (path == harness and hit.endswith(" in _stream"))]
     assert not found, found

@@ -1,11 +1,11 @@
 """Randomized property checks for the mean constructions.
 
 Every check draws seeded SPD tuples, measures a signed violation
-(metric minus tolerance, so values <= 0 pass), and reports the worst
-trial. Failures carry a witness seed: rerunning the same check with
-``seed = witness_seed`` and ``trials = 1`` reproduces the failing trial
-exactly, because trial t of seed s is trial 0 of the derived seed
-``(s + t * 0x9E3779B97F4A7C15) mod 2^64``.
+(metric minus a finite tolerance >= 0, so values <= 0 pass and a NaN
+fails), and reports the worst trial. Failures carry a witness seed:
+rerunning the same check with ``seed = witness_seed`` and ``trials = 1``
+reproduces the failing trial exactly, because trial t of seed s is trial 0
+of the derived seed ``(s + t * 0x9E3779B97F4A7C15) mod 2^64``.
 
 Each drawn tuple is one stacked draw from per-item streams: item ``i``
 has a Philox stream for its eigenvalues and one for its Haar basis, both
@@ -264,19 +264,23 @@ def _releq_violation(actual: np.ndarray, expected: np.ndarray, tol: float) -> fl
     return _absmax(actual - expected) / denom - tol
 
 
-def _sweep(name: str, spec: GenSpec, trials: int,
+def _sweep(name: str, spec: GenSpec, trials: int, tol: float,
            trial_fn: Callable[[GenSpec], float]) -> CheckReport:
+    # Every check runs here. A NaN or infinite tol would pass every trial,
+    # and a NaN violation fails its trial and is the worst one seen.
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     worst = -math.inf
     worst_seed = spec.seed
     failures = 0
     for t in range(trials):
         sub = replace(spec, seed=_trial_seed(spec.seed, t))
         v = trial_fn(sub)
-        if v > worst:
+        if not v <= worst and not math.isnan(worst):
             worst, worst_seed = v, sub.seed
-        if v > 0.0:
+        if not v <= 0.0:
             failures += 1
     return CheckReport(
         check_name=name,
@@ -305,7 +309,7 @@ def check_monotone(kind: MeanKind | str, spec: GenSpec,
         bumped = SpdTuple(certify(t.stack + scale[:, None, None] * pert))
         return _loewner_violation(base, mean(kind, bumped).entries, tol)
 
-    return _sweep(f"monotone[{kind.value}]", spec, trials, trial)
+    return _sweep(f"monotone[{kind.value}]", spec, trials, tol, trial)
 
 
 def check_concavity(kind: MeanKind | str, spec: GenSpec,
@@ -321,7 +325,7 @@ def check_concavity(kind: MeanKind | str, spec: GenSpec,
         mixed = SpdTuple(certify(lam * ta.stack + (1.0 - lam) * tb.stack))
         return _loewner_violation(combo, mean(kind, mixed).entries, tol)
 
-    return _sweep(f"concavity[{kind.value}]", spec, trials, trial)
+    return _sweep(f"concavity[{kind.value}]", spec, trials, tol, trial)
 
 
 def check_congruence(kind: MeanKind | str, spec: GenSpec,
@@ -348,7 +352,7 @@ def check_congruence(kind: MeanKind | str, spec: GenSpec,
             mean(kind, conj).entries, congruence_arr(c, m0), tol
         )
 
-    return _sweep(f"congruence[{kind.value}]", spec, trials, trial)
+    return _sweep(f"congruence[{kind.value}]", spec, trials, tol, trial)
 
 
 def check_self_dual(kind: MeanKind | str, spec: GenSpec,
@@ -375,7 +379,7 @@ def check_self_dual(kind: MeanKind | str, spec: GenSpec,
             rhs = inverse(mean(kind, t))
         return _releq_violation(lhs.entries, rhs.entries, tol)
 
-    return _sweep(f"self_dual[{kind.value}]", spec, trials, trial)
+    return _sweep(f"self_dual[{kind.value}]", spec, trials, tol, trial)
 
 
 def check_determinant(kind: MeanKind | str, spec: GenSpec,
@@ -395,7 +399,7 @@ def check_determinant(kind: MeanKind | str, spec: GenSpec,
         ld_actual = float(np.log(eigvalsh(mean(kind, t).entries)).sum())
         return abs(math.expm1(ld_actual - ld_target)) - tol
 
-    return _sweep(f"determinant[{kind.value}]", spec, trials, trial)
+    return _sweep(f"determinant[{kind.value}]", spec, trials, tol, trial)
 
 
 def check_hga(kind: MeanKind | str, spec: GenSpec,
@@ -413,7 +417,7 @@ def check_hga(kind: MeanKind | str, spec: GenSpec,
             _loewner_violation(g, arithmetic_mean(t).entries, tol),
         )
 
-    return _sweep(f"hga[{kind.value}]", spec, trials, trial)
+    return _sweep(f"hga[{kind.value}]", spec, trials, tol, trial)
 
 
 def check_updating(kind: MeanKind | str, spec: GenSpec,
@@ -439,7 +443,7 @@ def check_updating(kind: MeanKind | str, spec: GenSpec,
             rhs = variant_mean(SpdTuple(certify(power_arr(t.stack, p))))
         return _releq_violation(lhs.entries, rhs.entries, tol)
 
-    return _sweep(f"updating[{kind.value}]", spec, trials, trial)
+    return _sweep(f"updating[{kind.value}]", spec, trials, tol, trial)
 
 
 def check_block_regularity(kind: MeanKind | str, spec: GenSpec,
@@ -459,7 +463,7 @@ def check_block_regularity(kind: MeanKind | str, spec: GenSpec,
         oracle = _assemble_block(mean(kind, xs).entries, mean(kind, ys).entries)
         return _releq_violation(mean(kind, full).entries, oracle, tol)
 
-    return _sweep(f"block_regularity[{kind.value}]", spec, trials, trial)
+    return _sweep(f"block_regularity[{kind.value}]", spec, trials, tol, trial)
 
 
 def _contraction(sub: GenSpec) -> np.ndarray:
@@ -487,7 +491,7 @@ def check_jensen_contraction(F: RegularMap, spec: GenSpec,
         conj = SpdTuple(certify(congruence_arr(c, t.stack)))
         return _loewner_violation(lhs, F.fn(conj).entries, tol)
 
-    return _sweep(name, spec, trials, trial)
+    return _sweep(name, spec, trials, tol, trial)
 
 
 def check_jensen_pair(F: RegularMap, spec: GenSpec,
@@ -512,7 +516,7 @@ def check_jensen_pair(F: RegularMap, spec: GenSpec,
             congruence_arr(x, ta.stack) + congruence_arr(y, tb.stack)))
         return _loewner_violation(lhs, F.fn(combo).entries, tol)
 
-    return _sweep(name, spec, trials, trial)
+    return _sweep(name, spec, trials, tol, trial)
 
 
 def check_commuting(kind: MeanKind | str, spec: GenSpec,
@@ -530,7 +534,7 @@ def check_commuting(kind: MeanKind | str, spec: GenSpec,
         oracle = rebuild(q, scalar_mean(kind, lams))
         return _releq_violation(m, oracle, tol)
 
-    return _sweep(f"commuting[{kind.value}]", spec, trials, trial)
+    return _sweep(f"commuting[{kind.value}]", spec, trials, tol, trial)
 
 
 def scalar_mean(kind: MeanKind | str, rows: np.ndarray) -> np.ndarray:
@@ -556,7 +560,7 @@ def check_two_var(spec: GenSpec, trials: int = 100,
             _releq_violation(karcher_mean(pair).entries, closed, tol),
         )
 
-    return _sweep("two_var", spec, trials, trial)
+    return _sweep("two_var", spec, trials, tol, trial)
 
 
 def check_karcher_residual(spec: GenSpec, trials: int = 100,
@@ -571,7 +575,7 @@ def check_karcher_residual(spec: GenSpec, trials: int = 100,
             return exc.residual_norm - tol
         return float(np.linalg.norm(karcher_residual(x, t).entries)) - tol
 
-    return _sweep("karcher_residual", spec, trials, trial)
+    return _sweep("karcher_residual", spec, trials, tol, trial)
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,10 @@ def default_spd_tol(entries: np.ndarray) -> float | np.ndarray:
 
 def _pd_witnesses(stack: np.ndarray, tol: float | None = None) -> list[float]:
     # The certification rule, written once: each member of a finite
-    # (k, n, n) stack has its smallest eigenvalue above its floor.
+    # (k, n, n) stack has its smallest eigenvalue above its floor. A
+    # negative or non-finite floor would certify indefinite matrices.
+    if tol is not None and not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     witnesses = eigvalsh(stack)[:, 0]
     floors = default_spd_tol(stack) if tol is None else np.full_like(witnesses, tol)
     failed = witnesses <= floors

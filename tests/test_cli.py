@@ -217,6 +217,18 @@ def test_mean_cli_rejects_bad_solver_flags(tmp_path, capsys):
     assert code == 2 and "max_iter" in err
 
 
+def test_mean_cli_rejects_non_finite_tol(tmp_path, capsys):
+    # --tol inf would stop the Karcher solver at the arithmetic mean
+    path = tmp_path / "t.json"
+    assert main(["gen", "--dim", "2", "--k", "2", "--seed", "1",
+                 "--output", str(path)]) == 0
+    for tol in ("inf", "nan"):
+        result = run(["mean", "--kind", "karcher", "--input", str(path),
+                      "--tol", tol], capsys)
+        assert result == (
+            2, "", f"error: residual_tol must be finite and >= 1e-14, got {tol}\n")
+
+
 # -- check ---------------------------------------------------------------------
 
 LINE = re.compile(
@@ -263,6 +275,15 @@ def test_check_bad_flags(capsys):
     code, _, err = run(["check", "--suite", "two_var", "--trials", "2",
                         "--cond", "1e9"], capsys)
     assert code == 2
+
+
+def test_check_rejects_nan_infinite_or_negative_tol(capsys):
+    # a NaN or infinite tolerance would pass every trial
+    for tol in ("nan", "inf", "-1"):
+        result = run(["check", "--suite", "two_var", "--trials", "2",
+                      "--tol", tol], capsys)
+        assert result == (
+            2, "", f"error: tol must be finite and >= 0, got {float(tol)!r}\n")
 
 
 def test_errors_of_every_command_exit_2(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -181,6 +182,27 @@ def test_passing_report_shape():
 def test_trials_must_be_positive():
     with pytest.raises(ValueError):
         check_two_var(GenSpec(dim=2, k=2, seed=1), trials=0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+def test_check_tolerance_must_be_finite_and_nonnegative(tol):
+    spec = GenSpec(dim=2, k=2, seed=1)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        check_two_var(spec, trials=1, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        run_suite(["monotone"], spec, trials=1, tol=tol, kinds=["inductive"])
+
+
+def test_nan_violation_fails_its_trial(monkeypatch):
+    # NaN compares false both ways; a trial passes only on v <= 0
+    spec = GenSpec(dim=2, k=2, seed=3)
+    monkeypatch.setattr("spdmeans.harness._releq_violation",
+                        lambda *args: math.nan)
+    rep = check_two_var(spec, trials=3, tol=1e-8)
+    assert not rep.passed
+    assert rep.failures == 3
+    assert math.isnan(rep.worst_violation)
+    assert rep.witness_seed == _trial_seed(spec.seed, 0)
 
 
 def test_inductive_determinant_identity_holds_at_k16_cond_1e6():

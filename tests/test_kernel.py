@@ -311,6 +311,17 @@ def test_core_matches_public_functions_on_stacks_and_matrices():
             assert np.array_equal(out, out.swapaxes(-1, -2))
 
 
+@pytest.mark.parametrize("tol", [-1.0, -math.inf, math.inf, math.nan])
+def test_explicit_tolerance_must_be_finite_and_nonnegative(tol):
+    # a negative, NaN or -inf floor would certify this indefinite matrix,
+    # and an infinite one would reject every matrix
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        SpdMatrix(np.diag([-0.5, 1.0]), tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        SpdMatrix(np.eye(2), tol=tol)
+    assert SpdMatrix(np.eye(2), tol=0.0).min_eig_witness == 1.0
+
+
 def test_chol_pair_on_stacks_and_matrices():
     rng = np.random.default_rng(31)
     stack = np.stack([random_spd(rng, 5, cond=1e4).entries for _ in range(4)])

@@ -149,6 +149,37 @@ def test_means_match_defining_recursion(kind):
                            oracle.entries) < 1e-10
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Matrices passed to numpy's Cholesky, inverse and eigh, per function.
+
+    A ``(m, n, n)`` stack counts as m matrices. Certification's
+    ``eigvalsh`` is not counted.
+    """
+    counts = dict.fromkeys(("cholesky", "inv", "eigh"), 0)
+    for name in counts:
+        def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kw):
+            counts[_name] += int(np.prod(np.shape(a)[:-2]))
+            return _real(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_geometric_means_factor_once(factorizations, k):
+    # the fold and the variant levels carry one factor: only the first item
+    # of the fold, the last item of the variant, is factored by Cholesky
+    rng = np.random.default_rng(53)
+    t = SpdTuple([random_spd(rng, 4) for _ in range(k)])
+    for compute, eighs in (
+            (inductive_mean, k - 1),
+            (variant_mean, k * (k - 1) // 2),
+            (lambda t: weighted_geometric_2(t[0], t[-1], 0.3), 1)):
+        factorizations.update(cholesky=0, inv=0, eigh=0)
+        compute(t)
+        assert factorizations == {"cholesky": 1, "inv": 1, "eigh": eighs}
+
+
 # -- variant mean ------------------------------------------------------------
 
 def test_variant_scalar_values():
@@ -302,6 +333,13 @@ def test_solver_config_validation():
         SolverConfig(max_iter=2.5)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=True)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf])
+def test_solver_config_rejects_non_finite_residual_tol(tol):
+    # an infinite tolerance would stop the Karcher solver at its start
+    with pytest.raises(ValueError, match="residual_tol"):
+        SolverConfig(residual_tol=tol)
 
 
 # -- perspective and auxiliaries ---------------------------------------------

@@ -6,16 +6,19 @@ are the harness's own draws, whose items have condition numbers at most
 ``cond``. The stated accuracy is a relative max-norm error of at most
 ``32 * kappa * eps``, where ``kappa`` is the largest condition number of a
 matrix the definition raises to a power: ``A^-1/2 B A^-1/2`` at each
-two-variable step of a geometric mean, each item and the mean of the
-inverses for the harmonic mean. For a geometric step ``kappa`` can reach
-``cond**2``, and the error follows ``kappa``, not ``cond``: a bound of
-``32 * cond * eps`` fails at cond 1e4 already.
+two-variable step of a geometric mean, each congruence of a variant level
+by its last item, each item and the mean of the inverses for the harmonic
+mean. For a geometric step ``kappa`` can reach ``cond**2``, and the error
+follows ``kappa``, not ``cond``: a bound of ``32 * cond * eps`` fails at
+cond 1e4 already. At cond 1e10 that loss costs one variant draw its
+positive definiteness, and the test expects the typed error there.
 """
 
 import numpy as np
 import pytest
 
-from spdmeans import (SpdMatrix, SpdTuple, harmonic_mean, inductive_mean,
+from spdmeans import (NotPositiveDefiniteError, SpdMatrix, SpdTuple,
+                      harmonic_mean, inductive_mean, variant_mean,
                       weighted_geometric_2)
 from spdmeans.harness import _spd_entries
 
@@ -53,6 +56,18 @@ def mp_inductive(items):
     return g, kappa
 
 
+def mp_variant(items):
+    """The variant's level recursion; ``kappa`` over every powered congruence."""
+    k = len(items)
+    if k == 1:
+        return items[0], 1
+    (s, si), _ = mp_spectral(items[-1], mp.mpf(0.5), mp.mpf(-0.5))
+    p = mp.mpf(k - 1) / k
+    powered, kappas = zip(*(mp_spectral(si * a * si, p) for a in items[:-1]))
+    inner, kappa = mp_variant([c for (c,) in powered])
+    return s * inner * s, max(kappa, *kappas)
+
+
 def mp_harmonic(items):
     inverses, kappas = zip(*(mp_spectral(a, -1) for a in items))
     total = inverses[0][0]
@@ -76,8 +91,14 @@ CASES = {
         lambda items: mp_geometric_2(items[0], items[1], mp.mpf(0.3)),
     ),
     "inductive": (inductive_mean, mp_inductive),
+    "variant": (variant_mean, mp_variant),
     "harmonic": (harmonic_mean, mp_harmonic),
 }
+
+
+# (name, cond, dim, k, seed) of the draws whose powered congruence loses
+# positive definiteness in double precision (kappa about cond**2)
+RAISES = {("variant", 1e10, 4, 4, 4)}
 
 
 @pytest.mark.parametrize("cond", CONDS)
@@ -89,6 +110,10 @@ def test_forward_error_against_50_digit_reference(name, cond):
             for seed in SEEDS:
                 arrs = [_spd_entries(seed, dim, cond, f"item{i}") for i in range(k)]
                 t = SpdTuple([SpdMatrix(a) for a in arrs])
+                if (name, cond, dim, k, seed) in RAISES:
+                    with pytest.raises(NotPositiveDefiniteError):
+                        compute(t)
+                    continue
                 expected, kappa = reference([to_mp(a) for a in arrs])
                 err = rel_error(compute(t).entries, expected)
                 bound = 32.0 * float(kappa) * EPS

@@ -24,7 +24,7 @@ import numpy as np
 
 from .harness import CHECK_NAMES, CheckReport, GenSpec, STRUCTURES, gen_tuple, run_suite
 from .kernel import SpdMeansError, SymMatrix, certify
-from .means import ConvergenceError, MeanKind, SolverConfig, SpdTuple, mean
+from .means import ConvergenceError, MeanKind, SolverConfig, mean
 
 __all__ = [
     "MatrixFile",
@@ -200,10 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_mean(args: argparse.Namespace) -> int:
     mf = load_matrix_file(args.input, args.format)
-    items = certify(np.stack(mf.matrices))
+    t = certify(np.stack(mf.matrices))
     cfg = SolverConfig(residual_tol=args.tol, max_iter=args.max_iter)
     try:
-        result = mean(args.kind, SpdTuple(items), cfg)
+        result = mean(args.kind, t, cfg)
     except ConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return 3
@@ -229,6 +229,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                    cond_bound=args.cond, structure=args.structure)
     reports = run_suite(suite, spec, trials=args.trials, tol=args.tol,
                         kinds=kinds)
+    if not reports:  # a gate that checked nothing must not pass
+        raise InputError("--suite and --kinds select no check")
     for r in reports:
         print(_report_line(r))
     failed = sum(r.failures > 0 for r in reports)
@@ -240,8 +242,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     spec = GenSpec(dim=args.dim, k=args.k, seed=args.seed,
                    cond_bound=args.cond, structure=args.structure)
     t = gen_tuple(spec)
-    out = MatrixFile(dim=spec.dim,
-                     matrices=[np.asarray(a.entries) for a in t])
+    out = MatrixFile(dim=spec.dim, matrices=list(t.stack))
     _write_output(render_matrix_file(out, args.format), args.output)
     return 0
 

@@ -33,13 +33,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import (SpdMatrix, certify, congruence_arr, eigvalsh, inverse,
-                     power, power_arr, rebuild)
+from .kernel import (SpdMatrix, SpdTuple, certify, congruence_arr, eigvalsh,
+                     inverse, power, power_arr, rebuild)
 from .means import (
     ConvergenceError,
     MeanKind,
     RegularMap,
-    SpdTuple,
     arithmetic_mean,
     harmonic_mean,
     inductive_auxiliary,
@@ -96,6 +95,10 @@ class GenSpec:
     structure: str = "generic"
 
     def __post_init__(self) -> None:
+        for name in ("dim", "k", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (1 <= self.dim <= 64):
             raise ValueError("dim must be in [1, 64]")
         if self.k < 1:
@@ -185,13 +188,9 @@ def _spd_stack(seed: int, dim: int, cond: float, tags: Sequence[str]) -> np.ndar
     return rebuild(_haar(normals), _eig_rows(seed, dim, cond, tags))
 
 
-def _spd_entries(seed: int, dim: int, cond: float, tag: str) -> np.ndarray:
-    return _spd_stack(seed, dim, cond, [tag])[0]
-
-
 def _gen_items(spec: GenSpec, prefix: str = "item") -> SpdTuple:
     tags = [f"{prefix}{i}" for i in range(spec.k)]
-    return SpdTuple(certify(_spd_stack(spec.seed, spec.dim, spec.cond_bound, tags)))
+    return certify(_spd_stack(spec.seed, spec.dim, spec.cond_bound, tags))
 
 
 def _commuting_parts(spec: GenSpec):
@@ -199,7 +198,7 @@ def _commuting_parts(spec: GenSpec):
     q = _haar(_stream(spec.seed, "item0/basis").standard_normal((spec.dim, spec.dim)))
     lams = _eig_rows(spec.seed, spec.dim, spec.cond_bound,
                      [f"item{i}" for i in range(spec.k)])
-    return q, lams, SpdTuple(certify(rebuild(q, lams)))
+    return q, lams, certify(rebuild(q, lams))
 
 
 def _block_sizes(dim: int) -> tuple[int, int]:
@@ -219,7 +218,7 @@ def _block_parts(spec: GenSpec, d1: int, d2: int):
     """The two diagonal-block tuples and the certified block-diagonal tuple."""
     xs = _gen_items(replace(spec, dim=d1, structure="generic"), "xitem")
     ys = _gen_items(replace(spec, dim=d2, structure="generic"), "yitem")
-    return xs, ys, SpdTuple(certify(_assemble_block(xs.stack, ys.stack)))
+    return xs, ys, certify(_assemble_block(xs.stack, ys.stack))
 
 
 def gen_spd(spec: GenSpec) -> SpdMatrix:
@@ -306,7 +305,7 @@ def check_monotone(kind: MeanKind | str, spec: GenSpec,
         pert = _spd_stack(sub.seed, sub.dim, sub.cond_bound,
                           [f"pert{i}" for i in range(len(t))])
         scale = 0.1 * np.abs(t.stack).max(axis=(1, 2))
-        bumped = SpdTuple(certify(t.stack + scale[:, None, None] * pert))
+        bumped = certify(t.stack + scale[:, None, None] * pert)
         return _loewner_violation(base, mean(kind, bumped).entries, tol)
 
     return _sweep(f"monotone[{kind.value}]", spec, trials, tol, trial)
@@ -322,7 +321,7 @@ def check_concavity(kind: MeanKind | str, spec: GenSpec,
         tb = _gen_items(sub, "second")
         lam = float(_stream(sub.seed, "lambda").uniform(0.0, 1.0))
         combo = lam * mean(kind, ta).entries + (1.0 - lam) * mean(kind, tb).entries
-        mixed = SpdTuple(certify(lam * ta.stack + (1.0 - lam) * tb.stack))
+        mixed = certify(lam * ta.stack + (1.0 - lam) * tb.stack)
         return _loewner_violation(combo, mean(kind, mixed).entries, tol)
 
     return _sweep(f"concavity[{kind.value}]", spec, trials, tol, trial)
@@ -347,7 +346,7 @@ def check_congruence(kind: MeanKind | str, spec: GenSpec,
             if abs(np.linalg.det(c)) >= 1e-6:
                 break
         m0 = mean(kind, t).entries
-        conj = SpdTuple(certify(congruence_arr(c, t.stack)))
+        conj = certify(congruence_arr(c, t.stack))
         return _releq_violation(
             mean(kind, conj).entries, congruence_arr(c, m0), tol
         )
@@ -367,7 +366,7 @@ def check_self_dual(kind: MeanKind | str, spec: GenSpec,
 
     def trial(sub: GenSpec) -> float:
         t = gen_tuple(sub)
-        inv_t = SpdTuple(certify(power_arr(t.stack, -1.0)))
+        inv_t = certify(power_arr(t.stack, -1.0))
         if kind is MeanKind.ARITHMETIC:
             lhs = arithmetic_mean(inv_t)
             rhs = inverse(harmonic_mean(t))
@@ -433,14 +432,14 @@ def check_updating(kind: MeanKind | str, spec: GenSpec,
 
     def trial(sub: GenSpec) -> float:
         t = gen_tuple(sub)
-        ext = SpdTuple(certify(np.concatenate([t.stack, np.eye(sub.dim)[None]])))
+        ext = certify(np.concatenate([t.stack, np.eye(sub.dim)[None]]))
         p = sub.k / (sub.k + 1)
         if kind is MeanKind.INDUCTIVE:
             lhs = inductive_mean(ext)
             rhs = power(inductive_mean(t), p)
         else:
             lhs = variant_mean(ext)
-            rhs = variant_mean(SpdTuple(certify(power_arr(t.stack, p))))
+            rhs = variant_mean(certify(power_arr(t.stack, p)))
         return _releq_violation(lhs.entries, rhs.entries, tol)
 
     return _sweep(f"updating[{kind.value}]", spec, trials, tol, trial)
@@ -488,7 +487,7 @@ def check_jensen_contraction(F: RegularMap, spec: GenSpec,
         t = gen_tuple(sub)
         c = _contraction(sub)
         lhs = congruence_arr(c, F.fn(t).entries)
-        conj = SpdTuple(certify(congruence_arr(c, t.stack)))
+        conj = certify(congruence_arr(c, t.stack))
         return _loewner_violation(lhs, F.fn(conj).entries, tol)
 
     return _sweep(name, spec, trials, tol, trial)
@@ -512,8 +511,8 @@ def check_jensen_pair(F: RegularMap, spec: GenSpec,
         y = power_arr(np.eye(sub.dim) - x.T @ x, 0.5)
         lhs = (congruence_arr(x, F.fn(ta).entries)
                + congruence_arr(y, F.fn(tb).entries))
-        combo = SpdTuple(certify(
-            congruence_arr(x, ta.stack) + congruence_arr(y, tb.stack)))
+        combo = certify(congruence_arr(x, ta.stack)
+                        + congruence_arr(y, tb.stack))
         return _loewner_violation(lhs, F.fn(combo).entries, tol)
 
     return _sweep(name, spec, trials, tol, trial)

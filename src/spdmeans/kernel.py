@@ -3,6 +3,8 @@
 Value types certify their invariants once at construction (exact symmetry,
 finite entries, positive definiteness) and are immutable afterwards. An
 ``SpdMatrix`` is a ``SymMatrix`` that also holds its certification witness.
+An ``SpdTuple`` is an ordered tuple of them held as one read-only
+``(k, n, n)`` stack, the one form in which the means read a tuple.
 
 Every matrix function goes through the package's one array-level spectral
 core, functions on float64 arrays of shape ``(..., n, n)``, one matrix or a
@@ -16,14 +18,15 @@ primitive, :func:`chol_pair`, for congruences that need some factor
 rule is written once, over a stack: one stacked eigenvalue solve, each
 member's smallest eigenvalue above its own floor. ``SpdMatrix`` applies it
 to one matrix; :func:`certify`, the one way a freshly computed stack becomes
-``SpdMatrix`` values, applies it to the whole stack. The trusted
-constructors ``SymMatrix._wrap`` and ``certify`` are the only callers of
-``__new__``, and ``_wrap`` is called only in this module.
+``SpdMatrix`` values, applies it to the whole stack and returns the
+``SpdTuple`` of that stack, with no copy. The trusted constructors
+``SymMatrix._wrap`` and ``certify`` are the only callers of ``__new__``,
+and ``_wrap`` is called only in this module.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +40,7 @@ __all__ = [
     "EigenSolverError",
     "SymMatrix",
     "SpdMatrix",
+    "SpdTuple",
     "default_spd_tol",
     "spectral_apply",
     "power",
@@ -189,6 +193,51 @@ class SpdMatrix(SymMatrix):
         return f"SpdMatrix(dim={self.dim}, min_eig={self.min_eig_witness:.3e})"
 
 
+class SpdTuple:
+    """Ordered tuple of same-dimension SPD matrices, held as one stack.
+
+    Order is significant: the means are not permutation invariant for
+    k >= 3. :attr:`stack` is the items' entries as one read-only
+    ``(k, n, n)`` array, built once; from :func:`certify` it is the
+    certified stack itself, and the items view its slices.
+    """
+
+    __slots__ = ("items", "stack")
+
+    items: tuple[SpdMatrix, ...]
+    stack: np.ndarray
+
+    def __init__(self, items: Sequence[SpdMatrix]) -> None:
+        items = tuple(items)
+        if not items:
+            raise ValueError("an SpdTuple needs at least one matrix")
+        for a in items:
+            if not isinstance(a, SpdMatrix):
+                raise TypeError(f"expected SpdMatrix, got {type(a).__name__}")
+            if a.dim != items[0].dim:
+                raise ShapeError(
+                    f"all matrices must share a dimension: {a.dim} != {items[0].dim}")
+        stack = np.stack([a.entries for a in items])
+        stack.setflags(write=False)
+        self.items, self.stack = items, stack
+
+    @property
+    def dim(self) -> int:
+        return self.stack.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self) -> Iterator[SpdMatrix]:
+        return iter(self.items)
+
+    def __getitem__(self, i: int) -> SpdMatrix:
+        return self.items[i]
+
+    def __repr__(self) -> str:
+        return f"SpdTuple(k={len(self.items)}, dim={self.dim})"
+
+
 # ---------------------------------------------------------------------------
 # array-level spectral core: float64 arrays of shape (..., n, n)
 # ---------------------------------------------------------------------------
@@ -277,42 +326,37 @@ def congruence_arr(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     return sym_part(c.swapaxes(-1, -2) @ a @ c)
 
 
-def certify(stack: np.ndarray) -> list[SpdMatrix]:
+def certify(stack: np.ndarray) -> SpdTuple:
     """Certify each member of a fresh, exactly symmetric ``(k, n, n)`` stack.
 
     One finiteness check and one eigenvalue solve over the whole stack, then
     the rule of :class:`SpdMatrix` per member: a smallest eigenvalue above
     ``default_spd_tol`` of its entries. The first member that fails raises
-    ``NotPositiveDefiniteError("matrix i: ...")``; otherwise member i becomes
-    an ``SpdMatrix`` viewing its slice, that eigenvalue its witness, with no
-    second check. The caller must own ``stack``; it is frozen in place.
+    ``NotPositiveDefiniteError("matrix i: ...")``. Otherwise the result is
+    the :class:`SpdTuple` whose ``stack`` is the input and whose item i is
+    an ``SpdMatrix`` viewing slice i, that eigenvalue its witness, with no
+    second check and no copy. The caller must own ``stack``; it is frozen
+    in place.
     """
     if not np.isfinite(stack).all():
         raise DomainError("matrix entries must be finite")
     witnesses = _pd_witnesses(stack)
     stack.setflags(write=False)
-    out = [SpdMatrix.__new__(SpdMatrix) for _ in witnesses]
-    for m, a, witness in zip(out, stack, witnesses):
+    t = SpdTuple.__new__(SpdTuple)
+    t.items = tuple(SpdMatrix.__new__(SpdMatrix) for _ in witnesses)
+    t.stack = stack
+    for m, a, witness in zip(t.items, stack, witnesses):
         m.entries, m.min_eig_witness = a, witness
-    return out
+    return t
 
 
 def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
-    """Apply a scalar function to an SPD matrix through its spectrum.
+    """Apply a real scalar function to an SPD matrix through its spectrum.
 
-    Parameters
-    ----------
-    A : SpdMatrix
-        Matrix to transform.
-    f : callable
-        Real function evaluated at each eigenvalue. A non-finite or non-real
-        value, or a raised ``ValueError``/``OverflowError``/``ZeroDivisionError``,
-        is reported as ``DomainError`` naming the offending eigenvalue.
-
-    Returns
-    -------
-    SymMatrix
-        ``U f(L) U^T``, exactly symmetrized.
+    Returns the ``SymMatrix`` ``U f(L) U^T``, exactly symmetrized. A
+    non-finite or non-real value of ``f`` at an eigenvalue, or a
+    ``ValueError``, ``OverflowError`` or ``ZeroDivisionError`` it raises,
+    is a ``DomainError`` naming the offending eigenvalue.
     """
     w, v = eigh(A.entries)
     out = np.empty_like(w)

@@ -9,8 +9,11 @@ means, and the Karcher mean, solved on the vanishing-log-sum equation by a
 plain fixed-point update plus Anderson extrapolation, one residual per
 iterate.
 
-They run on plain arrays through the core of :mod:`spdmeans.kernel`, with a
-tuple as one ``(k, n, n)`` stack wherever a step treats all items alike.
+They run on plain arrays through the core of :mod:`spdmeans.kernel`, and
+read a tuple in one form only: its frozen ``(k, n, n)`` stack
+``SpdTuple.stack``. A derived tuple (the conjugated arguments of a
+perspective, the powered items of the variant's auxiliary map) is one
+computed stack that :func:`spdmeans.kernel.certify` makes the tuple.
 Where a formula is unchanged by rotating the square root of a matrix, the
 congruence uses some factor ``A = F F^T`` in place of ``A^1/2``
 (``F = A^1/2 Q`` with ``Q`` orthogonal): the two-variable mean
@@ -33,7 +36,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .kernel import (
     ShapeError,
     SpdMatrix,
     SpdMeansError,
+    SpdTuple,
     SymMatrix,
     certify,
     chol_pair,
@@ -48,6 +52,7 @@ from .kernel import (
     eigh_pd,
     exp_arr,
     power,
+    power_arr,
     rebuild,
     sqrt_pair,
     sym_part,
@@ -55,7 +60,6 @@ from .kernel import (
 
 __all__ = [
     "MeanKind",
-    "SpdTuple",
     "SolverConfig",
     "RegularMap",
     "ConvergenceError",
@@ -81,55 +85,6 @@ class MeanKind(enum.Enum):
     KARCHER = "karcher"
     ARITHMETIC = "arithmetic"
     HARMONIC = "harmonic"
-
-
-class SpdTuple:
-    """Ordered tuple of same-dimension SPD matrices.
-
-    Order is significant: the means defined here are not permutation
-    invariant for k >= 3. :attr:`stack` gives the items' entries as one
-    ``(k, n, n)`` array, the form the array-level means take.
-    """
-
-    __slots__ = ("items",)
-
-    items: tuple[SpdMatrix, ...]
-
-    def __init__(self, items: Sequence[SpdMatrix]) -> None:
-        items = tuple(items)
-        if not items:
-            raise ValueError("an SpdTuple needs at least one matrix")
-        for a in items:
-            if not isinstance(a, SpdMatrix):
-                raise TypeError(f"expected SpdMatrix, got {type(a).__name__}")
-        d = items[0].dim
-        for a in items[1:]:
-            if a.dim != d:
-                raise ShapeError(
-                    f"all matrices must share a dimension: {a.dim} != {d}"
-                )
-        self.items = items
-
-    @property
-    def dim(self) -> int:
-        return self.items[0].dim
-
-    @property
-    def stack(self) -> np.ndarray:
-        """A fresh, writable ``(k, n, n)`` copy of the items' entries."""
-        return np.stack([a.entries for a in self.items])
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[SpdMatrix]:
-        return iter(self.items)
-
-    def __getitem__(self, i: int) -> SpdMatrix:
-        return self.items[i]
-
-    def __repr__(self) -> str:
-        return f"SpdTuple(k={len(self.items)}, dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -187,7 +142,7 @@ class ConvergenceError(SpdMeansError):
 
 
 # ---------------------------------------------------------------------------
-# array-level means: a tuple is a (k, n, n) stack or a list of (n, n) arrays
+# array-level means: a tuple is one (k, n, n) stack
 # ---------------------------------------------------------------------------
 
 def _geometric_step(f: np.ndarray, fi: np.ndarray, a: np.ndarray, t: float):
@@ -206,12 +161,12 @@ def _geometric_2_arr(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     return sym_part(f @ f.T)
 
 
-def _inductive_arr(arrs: Sequence[np.ndarray]) -> np.ndarray:
+def _inductive_arr(stack: np.ndarray) -> np.ndarray:
     # The fold G_j = G_{j-1} #_{1/j} A_j on one factor of G_j: a Cholesky
     # factorization of A_1, then one eigendecomposition per item.
-    f, fi = chol_pair(arrs[0])
-    for j in range(1, len(arrs)):
-        f, fi = _geometric_step(f, fi, arrs[j], 1.0 / (j + 1))
+    f, fi = chol_pair(stack[0])
+    for j in range(1, len(stack)):
+        f, fi = _geometric_step(f, fi, stack[j], 1.0 / (j + 1))
     return sym_part(f @ f.T)
 
 
@@ -243,12 +198,12 @@ def _inverse_arr(a: np.ndarray) -> np.ndarray:
     return sym_part(li.swapaxes(-1, -2) @ li)
 
 
-def _arithmetic_arr(arrs: Sequence[np.ndarray]) -> np.ndarray:
+def _arithmetic_arr(stack: np.ndarray) -> np.ndarray:
     # An in-place running sum; a stacked .mean(axis=0) is slower at large dim.
-    out = arrs[0].copy()
-    for a in arrs[1:]:
+    out = stack[0].copy()
+    for a in stack[1:]:
         out += a
-    return out / len(arrs)
+    return out / len(stack)
 
 
 def _karcher_state(x: np.ndarray, stack: np.ndarray):
@@ -387,7 +342,7 @@ def perspective(F: RegularMap, args: SpdTuple, B: SpdMatrix) -> SymMatrix:
     if args.dim != B.dim:
         raise ShapeError(f"dimension mismatch: {args.dim} != {B.dim}")
     bs, bis = sqrt_pair(B.entries)
-    conj = SpdTuple(certify(congruence_arr(bis, args.stack)))
+    conj = certify(congruence_arr(bis, args.stack))
     return SymMatrix(congruence_arr(bs, F.fn(conj).entries))
 
 
@@ -407,7 +362,7 @@ def inductive_mean(t: SpdTuple) -> SpdMatrix:
     """
     if len(t) == 1:
         return t[0]
-    return certify(_inductive_arr([a.entries for a in t])[None])[0]
+    return certify(_inductive_arr(t.stack)[None])[0]
 
 
 def variant_mean(t: SpdTuple) -> SpdMatrix:
@@ -439,7 +394,7 @@ def arithmetic_mean(t: SpdTuple) -> SpdMatrix:
     """Entrywise average of the tuple."""
     if len(t) == 1:
         return t[0]
-    return certify(_arithmetic_arr([a.entries for a in t])[None])[0]
+    return certify(_arithmetic_arr(t.stack)[None])[0]
 
 
 def harmonic_mean(t: SpdTuple) -> SpdMatrix:
@@ -531,6 +486,6 @@ def variant_auxiliary(k: int) -> RegularMap:
     p = k / (k + 1)
 
     def fn(t: SpdTuple) -> SymMatrix:
-        return variant_mean(SpdTuple([power(a, p) for a in t]))
+        return variant_mean(certify(power_arr(t.stack, p)))
 
     return RegularMap(arity=k, fn=fn)

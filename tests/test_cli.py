@@ -277,6 +277,14 @@ def test_check_bad_flags(capsys):
     assert code == 2
 
 
+def test_check_that_selects_no_check_exits_2(capsys):
+    # a gate that checked nothing must not pass
+    for args in (["--suite", "determinant", "--kinds", "arithmetic"],
+                 ["--suite", ","]):
+        result = run(["check", *args, "--trials", "2"], capsys)
+        assert result == (2, "", "error: --suite and --kinds select no check\n")
+
+
 def test_check_rejects_nan_infinite_or_negative_tol(capsys):
     # a NaN or infinite tolerance would pass every trial
     for tol in ("nan", "inf", "-1"):

@@ -83,6 +83,13 @@ def test_genspec_validation():
         dict(dim=2, k=1, seed=1, cond_bound=2e6),
         dict(dim=2, k=1, seed=1, structure="banded"),
         dict(dim=1, k=1, seed=1, structure="block"),
+        # non-integers fail here, not later inside numpy or the stream hashing
+        dict(dim=2.5, k=1, seed=1),
+        dict(dim=2, k=2.0, seed=1),
+        dict(dim=2, k=1, seed=1.5),
+        dict(dim=True, k=1, seed=1),
+        dict(dim=2, k=True, seed=1),
+        dict(dim=2, k=1, seed=False),
     ):
         with pytest.raises(ValueError):
             GenSpec(**bad)

@@ -10,6 +10,7 @@ from spdmeans import (
     NotPositiveDefiniteError,
     ShapeError,
     SpdMatrix,
+    SpdTuple,
     SymMatrix,
     SymmetryError,
     congruence,
@@ -262,6 +263,29 @@ def test_spd_certification():
     mixed = np.stack([1e6 * np.eye(2), 1e-6 * np.diag([1.0, 1e-11])])
     for m, a in zip(certify(mixed.copy()), mixed, strict=True):
         assert m.min_eig_witness == SpdMatrix(a).min_eig_witness
+
+
+def test_spd_tuple_holds_one_frozen_stack():
+    rng = np.random.default_rng(52)
+    items = [random_spd(rng, 3) for _ in range(4)]
+    # a user-built tuple stacks its items once and freezes the stack
+    t = SpdTuple(items)
+    assert t.stack.shape == (4, 3, 3) and t.dim == 3
+    assert all(np.array_equal(m, a.entries) for m, a in zip(t.stack, items, strict=True))
+    assert not t.stack.flags.writeable
+    assert t.stack is t.stack
+    with pytest.raises(ValueError):
+        t.stack[0, 0, 0] = -1.0
+    # a certified tuple holds its input stack, and its items view its slices
+    fresh = np.stack([a.entries for a in items])
+    c = certify(fresh)
+    assert isinstance(c, SpdTuple) and len(c) == 4 and c.dim == 3
+    assert c.stack is fresh and np.shares_memory(c.stack, fresh)
+    assert not fresh.flags.writeable
+    for i, m in enumerate(c):
+        assert m is c[i] and isinstance(m, SpdMatrix)
+        assert np.shares_memory(m.entries, c.stack[i])
+        assert np.array_equal(m.entries, c.stack[i])
 
 
 def test_spd_matrix_is_a_sym_matrix():

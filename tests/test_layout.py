@@ -140,6 +140,44 @@ def test_trusted_construction_stays_in_the_kernel():
     assert not found, found
 
 
+def calls_of(node, name):
+    """Whether ``node`` calls ``name`` or ``<...>.name``."""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def certify_rewraps(source, filename="<source>"):
+    """``SpdTuple(...)`` calls on a ``certify(...)`` result: the call itself,
+    or a name bound to one in the same scope."""
+    nodes = list(scoped_nodes(ast.parse(source, filename=filename)))
+    bound = {
+        (scope, target.id)
+        for node, scope in nodes
+        if isinstance(node, ast.Assign) and calls_of(node.value, "certify")
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    return [
+        f"{filename}:{node.lineno} wraps a certify result in {scope}"
+        for node, scope in nodes
+        if calls_of(node, "SpdTuple")
+        and any(calls_of(arg, "certify")
+                or (isinstance(arg, ast.Name) and (scope, arg.id) in bound)
+                for arg in node.args)
+    ]
+
+
+def test_certified_tuples_are_not_wrapped_again():
+    # certify returns the tuple; wrapping it again re-checks and restacks it
+    planted = ("def f(s):\n"
+               "    a = SpdTuple(certify(s))\n"
+               "    t = kernel.certify(s)\n"
+               "    return SpdTuple(t), SpdTuple(list(s))\n")
+    assert len(certify_rewraps(planted)) == 2
+    found = [hit for path in sorted(PACKAGE.glob("*.py"))
+             for hit in certify_rewraps(path.read_text(), path.name)]
+    assert not found, found
+
+
 SEEDING = {"SeedSequence", "Philox", "default_rng"}
 
 

@@ -456,19 +456,6 @@ def test_spd_tuple_validation():
         SpdTuple([random_spd(rng, 2), random_spd(rng, 3)])
 
 
-def test_spd_tuple_stack_is_a_fresh_copy():
-    rng = np.random.default_rng(52)
-    t = SpdTuple([random_spd(rng, 3) for _ in range(4)])
-    s1, s2 = t.stack, t.stack
-    assert s1.shape == (4, 3, 3)
-    assert all(np.array_equal(m, a.entries) for m, a in zip(s1, t, strict=True))
-    assert s1 is not s2 and not np.shares_memory(s1, s2)
-    assert s1.flags.writeable
-    s1[0, 0, 0] = -1.0
-    assert t[0].entries[0, 0] != -1.0
-    assert np.array_equal(t.stack, s2)
-
-
 def test_updating_rules():
     rng = np.random.default_rng(50)
     for k in (1, 2, 3, 4):

@@ -20,7 +20,7 @@ import pytest
 from spdmeans import (NotPositiveDefiniteError, SpdMatrix, SpdTuple,
                       harmonic_mean, inductive_mean, variant_mean,
                       weighted_geometric_2)
-from spdmeans.harness import _spd_entries
+from spdmeans.harness import _spd_stack
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -108,7 +108,7 @@ def test_forward_error_against_50_digit_reference(name, cond):
     with mp.workdps(50):
         for dim, k in SHAPES:
             for seed in SEEDS:
-                arrs = [_spd_entries(seed, dim, cond, f"item{i}") for i in range(k)]
+                arrs = _spd_stack(seed, dim, cond, [f"item{i}" for i in range(k)])
                 t = SpdTuple([SpdMatrix(a) for a in arrs])
                 if (name, cond, dim, k, seed) in RAISES:
                     with pytest.raises(NotPositiveDefiniteError):

@@ -57,6 +57,8 @@ class InputError(SpdMeansError):
 def _validate_matrices(dim: int, grids: list, labels) -> MatrixFile:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
+    if not isinstance(grids, list):
+        raise InputError(f"matrices must be a list, got {type(grids).__name__}")
     if not grids:
         raise InputError("file contains no matrices")
     mats: list[np.ndarray] = []
@@ -85,7 +87,7 @@ def parse_matrix_text(text: str, fmt: str) -> MatrixFile:
     if fmt == "json":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict) or "dim" not in obj or "matrices" not in obj:
             raise InputError("JSON must be an object with 'dim' and 'matrices'")

@@ -4,7 +4,7 @@ Value types certify their invariants once at construction (exact symmetry,
 finite entries, positive definiteness) and are immutable afterwards. An
 ``SpdMatrix`` is a ``SymMatrix`` that also holds its certification witness.
 An ``SpdTuple`` is an ordered tuple of them held as one read-only
-``(k, n, n)`` stack, the one form in which the means read a tuple.
+``(k, n, n)`` stack that its items view, the one form the means read.
 
 Every matrix function goes through the package's one array-level spectral
 core, functions on float64 arrays of shape ``(..., n, n)``, one matrix or a
@@ -15,13 +15,12 @@ square-root pairs and congruences are built on it, and the public functions
 wrap the value types around it. The core also holds the one Cholesky
 primitive, :func:`chol_pair`, for congruences that need some factor
 ``A = L L^T`` rather than the symmetric root. The positive-definiteness
-rule is written once, over a stack: one stacked eigenvalue solve, each
-member's smallest eigenvalue above its own floor. ``SpdMatrix`` applies it
-to one matrix; :func:`certify`, the one way a freshly computed stack becomes
-``SpdMatrix`` values, applies it to the whole stack and returns the
-``SpdTuple`` of that stack, with no copy. The trusted constructors
-``SymMatrix._wrap`` and ``certify`` are the only callers of ``__new__``,
-and ``_wrap`` is called only in this module.
+rule is written once, over a stack, with one floor: one stacked eigenvalue
+solve, each member's smallest eigenvalue above its :func:`default_spd_tol`.
+``SpdMatrix`` applies it to one matrix and :func:`certify` to a freshly
+computed stack, returning that stack's ``SpdTuple`` with no copy. ``_held``,
+the only caller of ``__new__``, builds every tuple and its items; every
+other computed result is a checked ``SymMatrix`` or ``certify``'s.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ class EigenSolverError(SpdMeansError):
 
 
 def default_spd_tol(entries: np.ndarray) -> float | np.ndarray:
-    """Positive-definiteness floor used when no explicit tolerance is given.
+    """The positive-definiteness floor, the one certification uses.
 
     Relative to the data, so scaling a matrix scales its floor:
     ``1e-12 * max|entry|``, one floor per member of a stack.
@@ -90,15 +89,13 @@ def default_spd_tol(entries: np.ndarray) -> float | np.ndarray:
     return 1e-12 * np.abs(entries).max(axis=(-2, -1))
 
 
-def _pd_witnesses(stack: np.ndarray, tol: float | None = None) -> list[float]:
+def _pd_witnesses(stack: np.ndarray) -> list[float]:
     # The certification rule, written once: each member of a finite
-    # (k, n, n) stack has its smallest eigenvalue above its floor. A
-    # negative or non-finite floor would certify indefinite matrices.
-    if tol is not None and not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    # (k, n, n) stack has its smallest eigenvalue above its floor. Written
+    # as "not above" so that a NaN witness fails.
     witnesses = eigvalsh(stack)[:, 0]
-    floors = default_spd_tol(stack) if tol is None else np.full_like(witnesses, tol)
-    failed = witnesses <= floors
+    floors = default_spd_tol(stack)
+    failed = ~(witnesses > floors)
     if failed.any():
         i = int(failed.argmax())
         raise NotPositiveDefiniteError(
@@ -127,9 +124,10 @@ class SymMatrix:
 
     Construction accepts anything convertible to a square float array whose
     asymmetry is within round-off (``SYMMETRY_RTOL`` relative, max-norm) and
-    stores the exactly symmetrized ``(M + M.T) / 2``. Larger asymmetry is an
-    input error. A ``SymMatrix`` argument, an ``SpdMatrix`` included, shares
-    its entries. Entries are read-only after construction.
+    stores it exactly symmetric: as given when it already is, else as
+    ``M / 2 + M.T / 2``, finite for finite ``M``. Larger asymmetry is an
+    input error. A ``SymMatrix`` argument, an ``SpdMatrix`` included,
+    shares its entries. Entries are read-only after construction.
     """
 
     __slots__ = ("entries",)
@@ -142,26 +140,18 @@ class SymMatrix:
             return
         a = _square_float_array(values)
         scale = float(np.abs(a).max())
-        asym = float(np.abs(a - a.T).max())
+        with np.errstate(over="ignore"):  # an infinite asymmetry is rejected
+            asym = float(np.abs(a - a.T).max())
         if asym > SYMMETRY_RTOL * scale:
             raise SymmetryError(
                 f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|entry|"
                 f" = {SYMMETRY_RTOL * scale:.3e}"
             )
-        a = sym_part(a)
+        if asym:  # halved first, unlike sym_part, so finite stays finite
+            h = a * 0.5
+            a = h + h.T
         a.setflags(write=False)
         self.entries = a
-
-    @classmethod
-    def _wrap(cls, a: np.ndarray) -> "SymMatrix":
-        # Trusted path for freshly computed, exactly symmetric arrays.
-        # Callers must own `a`; it is frozen in place.
-        if not np.isfinite(a).all():
-            raise DomainError("matrix entries must be finite")
-        obj = cls.__new__(cls)
-        a.setflags(write=False)
-        obj.entries = a
-        return obj
 
     @property
     def dim(self) -> int:
@@ -175,19 +165,19 @@ class SpdMatrix(SymMatrix):
     """A symmetric matrix certified positive definite.
 
     ``min_eig_witness`` is the smallest eigenvalue found at certification
-    time; it is strictly above the tolerance in force (``default_spd_tol``
-    of the entries unless an explicit ``tol`` was passed). A matrix that
-    fails certification is rejected, never repaired. A ``SymMatrix``
-    argument, an ``SpdMatrix`` included, is certified as it stands.
+    time; it is strictly above ``default_spd_tol`` of the entries, the one
+    floor. A matrix that fails certification is rejected, never repaired.
+    A ``SymMatrix`` argument, an ``SpdMatrix`` included, is certified as it
+    stands.
     """
 
     __slots__ = ("min_eig_witness",)
 
     min_eig_witness: float
 
-    def __init__(self, values, tol: float | None = None) -> None:
+    def __init__(self, values) -> None:
         super().__init__(values)
-        self.min_eig_witness = _pd_witnesses(self.entries[None], tol)[0]
+        self.min_eig_witness = _pd_witnesses(self.entries[None])[0]
 
     def __repr__(self) -> str:
         return f"SpdMatrix(dim={self.dim}, min_eig={self.min_eig_witness:.3e})"
@@ -197,9 +187,10 @@ class SpdTuple:
     """Ordered tuple of same-dimension SPD matrices, held as one stack.
 
     Order is significant: the means are not permutation invariant for
-    k >= 3. :attr:`stack` is the items' entries as one read-only
-    ``(k, n, n)`` array, built once; from :func:`certify` it is the
-    certified stack itself, and the items view its slices.
+    k >= 3. :attr:`stack` is one read-only ``(k, n, n)`` array, built once:
+    the items' entries stacked, or from :func:`certify` the certified stack
+    itself. Each item views its slice and carries its witness, so every
+    entry is held once and nothing is certified twice.
     """
 
     __slots__ = ("items", "stack")
@@ -217,9 +208,9 @@ class SpdTuple:
             if a.dim != items[0].dim:
                 raise ShapeError(
                     f"all matrices must share a dimension: {a.dim} != {items[0].dim}")
-        stack = np.stack([a.entries for a in items])
-        stack.setflags(write=False)
-        self.items, self.stack = items, stack
+        t = _held(np.stack([a.entries for a in items]),
+                  [a.min_eig_witness for a in items])
+        self.items, self.stack = t.items, t.stack
 
     @property
     def dim(self) -> int:
@@ -236,6 +227,18 @@ class SpdTuple:
 
     def __repr__(self) -> str:
         return f"SpdTuple(k={len(self.items)}, dim={self.dim})"
+
+
+def _held(stack: np.ndarray, witnesses: list[float]) -> SpdTuple:
+    # The one trusted builder of tuples and items. The caller owns `stack`
+    # (frozen here) and has certified member i with witness i.
+    stack.setflags(write=False)
+    t = object.__new__(SpdTuple)
+    t.items = tuple(SpdMatrix.__new__(SpdMatrix) for _ in witnesses)
+    t.stack = stack
+    for m, a, witness in zip(t.items, stack, witnesses):
+        m.entries, m.min_eig_witness = a, witness
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +337,13 @@ def certify(stack: np.ndarray) -> SpdTuple:
     ``default_spd_tol`` of its entries. The first member that fails raises
     ``NotPositiveDefiniteError("matrix i: ...")``. Otherwise the result is
     the :class:`SpdTuple` whose ``stack`` is the input and whose item i is
-    an ``SpdMatrix`` viewing slice i, that eigenvalue its witness, with no
-    second check and no copy. The caller must own ``stack``; it is frozen
-    in place.
+    an ``SpdMatrix`` viewing slice i, that eigenvalue its witness, built by
+    the same code as ``SpdTuple(items)``, with no second check and no copy.
+    The caller must own ``stack``; it is frozen in place.
     """
     if not np.isfinite(stack).all():
         raise DomainError("matrix entries must be finite")
-    witnesses = _pd_witnesses(stack)
-    stack.setflags(write=False)
-    t = SpdTuple.__new__(SpdTuple)
-    t.items = tuple(SpdMatrix.__new__(SpdMatrix) for _ in witnesses)
-    t.stack = stack
-    for m, a, witness in zip(t.items, stack, witnesses):
-        m.entries, m.min_eig_witness = a, witness
-    return t
+    return _held(stack, _pd_witnesses(stack))
 
 
 def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
@@ -372,7 +368,7 @@ def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
     if not np.isfinite(out).all():
         bad = float(w[~np.isfinite(out)][0])
         raise DomainError(f"f evaluated non-finite at eigenvalue {bad!r}")
-    return SymMatrix._wrap(rebuild(v, out))
+    return SymMatrix(rebuild(v, out))
 
 
 def power(A: SpdMatrix, p: float) -> SpdMatrix:
@@ -405,7 +401,7 @@ def inverse(A: SpdMatrix) -> SpdMatrix:
 
 def log_m(A: SpdMatrix) -> SymMatrix:
     """Matrix logarithm of an SPD matrix (symmetric, any signature)."""
-    return SymMatrix._wrap(log_arr(A.entries))
+    return SymMatrix(log_arr(A.entries))
 
 
 def exp_m(S: SymMatrix) -> SpdMatrix:
@@ -427,4 +423,4 @@ def congruence(C, A: SymMatrix) -> SymMatrix:
     c = _square_float_array(C)
     if c.shape[0] != A.dim:
         raise ShapeError(f"dimension mismatch: C is {c.shape[0]}, A is {A.dim}")
-    return SymMatrix._wrap(congruence_arr(c, A.entries))
+    return SymMatrix(congruence_arr(c, A.entries))

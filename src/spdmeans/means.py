@@ -7,7 +7,7 @@ fold ``G_j = G_{j-1} #_{1/j} A_j`` its updating condition gives, a variant
 geometric mean with a different updating rule, arithmetic and harmonic
 means, and the Karcher mean, solved on the vanishing-log-sum equation by a
 plain fixed-point update plus Anderson extrapolation, one residual per
-iterate.
+iterate and a second for each rejected extrapolation.
 
 They run on plain arrays through the core of :mod:`spdmeans.kernel`, and
 read a tuple in one form only: its frozen ``(k, n, n)`` stack
@@ -245,14 +245,14 @@ def _accel_extrapolate(hist_x: deque[np.ndarray], hist_f: deque[np.ndarray]):
 def _karcher_arr(stack: np.ndarray, cfg: SolverConfig):
     """Fixed-point solve of ``sum_i log(X^-1/2 A_i X^-1/2) = 0``.
 
-    Plain update plus Anderson extrapolation, one residual per iterate,
-    starting from the arithmetic mean. The plain update
-    ``g = X^1/2 exp(theta * S) X^1/2`` (``S`` the residual at ``X``) feeds
-    the Anderson history. The extrapolated iterate is kept when it is
-    positive definite with a residual below the current one; otherwise
-    ``g`` is taken. The kept iterate's residual is the one
-    the next update needs. ``theta`` is ``1/k`` until a plain step raises
-    the residual, then the Bini-Iannazzo step from the residual's spectra.
+    Plain update plus Anderson extrapolation, starting from the arithmetic
+    mean. The plain update ``g = X^1/2 exp(theta * S) X^1/2`` (``S`` the
+    residual at ``X``) feeds the Anderson history. The extrapolated iterate
+    is kept when it is positive definite with a residual below the current
+    one; otherwise ``g`` is taken, at the cost of a second residual. The
+    kept iterate's residual is the one the next update needs. ``theta`` is
+    ``1/k`` until a plain step raises the residual, then the Bini-Iannazzo
+    step from the residual's spectra.
     The plain update alone contracts slowly on spread-out tuples; the
     extrapolation removes several error modes at once.
     """
@@ -428,8 +428,8 @@ def karcher_mean(t: SpdTuple, cfg: SolverConfig | None = None) -> SpdMatrix:
     """Karcher (Riemannian barycenter) mean of an SPD tuple.
 
     Solves ``sum_i log(X^-1/2 A_i X^-1/2) = 0`` by a plain fixed-point
-    update plus Anderson extrapolation, one residual per iterate, starting
-    from the arithmetic mean.
+    update plus Anderson extrapolation, starting from the arithmetic mean:
+    one residual per iterate, two when the extrapolation is rejected.
     Raises :class:`ConvergenceError` if ``cfg.max_iter`` updates do not
     bring the Frobenius norm of the residual under ``cfg.residual_tol``.
     """
@@ -454,7 +454,7 @@ def mean(kind: MeanKind | str, t: SpdTuple,
     """Dispatch to the mean named by ``kind``.
 
     ``cfg`` is honored by the Karcher solver and ignored by the closed-form
-    kinds. For a single-element tuple every kind returns ``A_1`` itself.
+    kinds. For a single-element tuple every kind returns its item ``t[0]``.
     """
     kind = MeanKind(kind)
     if kind is MeanKind.KARCHER:

@@ -189,6 +189,9 @@ def test_mean_cli_error_paths(tmp_path, capsys):
          "matrix 1: shape (3, 3) != (2, 2)"),
         ('[[1.0, "x"], ["x", 1.0]]',
          "matrix 1 is not a numeric grid: could not convert string to float: 'x'"),
+        # symmetrizing must not overflow a finite entry into "not finite"
+        ("[[1e308, 0.0], [0.0, 1.0]]",
+         "matrix 1: smallest eigenvalue 1.000000e+00 not above tolerance 1.000e+296"),
     ]:
         path = tmp_path / "input.json"
         path.write_text('{"dim": 2, "matrices": [[[1.0, 0.0], [0.0, 1.0]], '
@@ -196,6 +199,23 @@ def test_mean_cli_error_paths(tmp_path, capsys):
         result = run(["mean", "--kind", "inductive", "--input", str(path)],
                      capsys)
         assert result == (2, "", f"error: {line}\n")
+
+
+def test_mean_cli_rejects_json_of_the_wrong_structure(tmp_path, capsys):
+    # neither a non-list "matrices" nor deep nesting may end in a traceback
+    path = tmp_path / "input.json"
+    for text, line in [
+        ('{"dim": 1, "matrices": 5}', "matrices must be a list, got int"),
+        ('{"dim": 1, "matrices": true}', "matrices must be a list, got bool"),
+    ]:
+        path.write_text(text)
+        result = run(["mean", "--kind", "inductive", "--input", str(path)],
+                     capsys)
+        assert result == (2, "", f"error: {line}\n")
+    path.write_text("[" * 100000)
+    code, out, err = run(["mean", "--kind", "inductive", "--input", str(path)],
+                         capsys)
+    assert (code, out) == (2, "") and err.startswith("error: invalid JSON: ")
 
 
 def test_mean_cli_karcher_convergence_failure(tmp_path, capsys):

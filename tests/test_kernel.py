@@ -24,6 +24,7 @@ from spdmeans import (
     sqrt,
 )
 
+from spdmeans import kernel
 from spdmeans.harness import _loewner_violation
 from spdmeans.kernel import (certify, chol_pair, eigh, exp_arr, log_arr, power_arr,
                              sqrt_pair)
@@ -204,10 +205,10 @@ def test_loewner_transitive_on_chain():
 
 def test_is_spd_gram_and_rejections():
     c = np.random.default_rng(28).standard_normal((5, 5))
-    tol = 1e-9
-    assert SpdMatrix(c.T @ c + 2 * tol * np.eye(5), tol=tol).min_eig_witness > tol
+    gram = c.T @ c + 2e-9 * np.eye(5)
+    assert SpdMatrix(gram).min_eig_witness > default_spd_tol(gram)
     with pytest.raises(NotPositiveDefiniteError):
-        SpdMatrix(np.diag([1.0, -1e-6]), tol=1e-9)
+        SpdMatrix(np.diag([1.0, -1e-6]))
     # the default floor is relative to the entries: 1e-12 * max|entry|
     with pytest.raises(NotPositiveDefiniteError):
         SpdMatrix(np.diag([1.0, 1e-13]))
@@ -222,6 +223,30 @@ def test_symmetry_gate():
     a = np.array([[1.0, 0.25], [0.25 * (1 + 1e-14), 1.0]])
     s = SymMatrix(a)
     assert np.array_equal(s.entries, s.entries.T)
+    # symmetrizing keeps finite entries finite, so the floor, not the
+    # finiteness gate, rejects this matrix
+    huge = np.diag([1e308, 1.0])
+    assert np.array_equal(SymMatrix(huge).entries, huge)
+    with pytest.raises(NotPositiveDefiniteError,
+                       match="eigenvalue 1.000000e[+]00 not above tolerance 1.000e[+]296"):
+        SpdMatrix(huge)
+    near = np.array([[1.0, 1.5e308], [1.5e308 * (1 + 2**-52), 1.0]])
+    s = SymMatrix(near)
+    assert np.isfinite(s.entries).all() and np.array_equal(s.entries, s.entries.T)
+    with pytest.raises(SymmetryError, match="asymmetry inf"):
+        SymMatrix([[0.0, 1e308], [-1e308, 0.0]])
+    # an exactly symmetric input is stored as given, subnormal entries too
+    for tiny in (5e-324, 1e-310):
+        assert np.array_equal(SymMatrix(tiny * np.eye(2)).entries, tiny * np.eye(2))
+
+
+def test_nan_witness_is_not_certified(monkeypatch):
+    # the rule reads "above the floor", so a NaN eigenvalue fails it
+    monkeypatch.setattr(kernel, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    with pytest.raises(NotPositiveDefiniteError, match="eigenvalue nan"):
+        SpdMatrix(np.eye(2))
+    with pytest.raises(NotPositiveDefiniteError, match="matrix 0"):
+        certify(np.eye(2)[None].copy())
 
 
 def test_shape_and_domain_rejections():
@@ -244,11 +269,9 @@ def test_spd_certification():
         SpdMatrix(np.zeros((2, 2)))
     a = SpdMatrix(np.diag([3.0, 5.0]))
     assert abs(a.min_eig_witness - 3.0) < 1e-12
-    # explicit tolerance overrides the default floor
+    # the one floor, 1e-12 * max|entry|, passes a witness of 1e-8
     near = np.diag([1.0, 1e-8])
-    with pytest.raises(NotPositiveDefiniteError):
-        SpdMatrix(near, tol=1e-6)
-    assert SpdMatrix(near, tol=1e-10).min_eig_witness > 0
+    assert SpdMatrix(near).min_eig_witness > default_spd_tol(near)
     # one stacked solve certifies each member as its own construction would
     rng = np.random.default_rng(28)
     stack = np.stack([np.diag([3.0, 5.0]), near]
@@ -276,6 +299,13 @@ def test_spd_tuple_holds_one_frozen_stack():
     assert t.stack is t.stack
     with pytest.raises(ValueError):
         t.stack[0, 0, 0] = -1.0
+    # its items view the stack, not the callers' arrays, and carry the
+    # callers' witnesses, so each entry is held once
+    for i, (m, a) in enumerate(zip(t, items, strict=True)):
+        assert m is t[i] and isinstance(m, SpdMatrix)
+        assert np.shares_memory(m.entries, t.stack[i])
+        assert not np.shares_memory(m.entries, a.entries)
+        assert m.min_eig_witness == a.min_eig_witness
     # a certified tuple holds its input stack, and its items view its slices
     fresh = np.stack([a.entries for a in items])
     c = certify(fresh)
@@ -298,7 +328,7 @@ def test_spd_matrix_is_a_sym_matrix():
     assert again.min_eig_witness == a.min_eig_witness
     assert SpdMatrix(SymMatrix(np.diag([2.0, 3.0]))).min_eig_witness == 2.0
     with pytest.raises(NotPositiveDefiniteError):
-        SpdMatrix(a, tol=2.0)
+        SpdMatrix(SymMatrix(np.diag([1.0, 1e-13])))
     with pytest.raises(NotPositiveDefiniteError):
         SpdMatrix(SymMatrix(np.diag([1.0, -1.0])))
     # a SymMatrix of an SpdMatrix shares its entries
@@ -333,17 +363,6 @@ def test_core_matches_public_functions_on_stacks_and_matrices():
             assert out.shape == arr.shape
             assert rel_err(out, want) < 1e-12
             assert np.array_equal(out, out.swapaxes(-1, -2))
-
-
-@pytest.mark.parametrize("tol", [-1.0, -math.inf, math.inf, math.nan])
-def test_explicit_tolerance_must_be_finite_and_nonnegative(tol):
-    # a negative, NaN or -inf floor would certify this indefinite matrix,
-    # and an infinite one would reject every matrix
-    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-        SpdMatrix(np.diag([-0.5, 1.0]), tol=tol)
-    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-        SpdMatrix(np.eye(2), tol=tol)
-    assert SpdMatrix(np.eye(2), tol=0.0).min_eig_witness == 1.0
 
 
 def test_chol_pair_on_stacks_and_matrices():

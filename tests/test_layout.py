@@ -132,10 +132,9 @@ def new_calls(path):
 def test_trusted_construction_stays_in_the_kernel():
     modules = sorted(PACKAGE.glob("*.py"))
     kernel = PACKAGE / "kernel.py"
-    # the rule sees the kernel's own trusted constructors, one per class
+    # the rule sees the kernel's one trusted builder, of tuples and items
     assert new_calls(kernel)
-    assert {hit.split(" in ")[-1] for hit in new_calls(kernel)} == {
-        "SymMatrix._wrap", "certify"}
+    assert {hit.split(" in ")[-1] for hit in new_calls(kernel)} == {"_held"}
     found = [hit for path in modules if path != kernel for hit in new_calls(path)]
     assert not found, found
 

@@ -103,7 +103,8 @@ def test_single_element_tuple_returns_item_for_every_kind():
     a = random_spd(rng, 3)
     t = SpdTuple([a])
     for kind in MeanKind:
-        assert mean(kind, t) is a
+        assert mean(kind, t) is t[0]
+    assert np.array_equal(t[0].entries, a.entries)
 
 
 def test_inductive_equals_weighted_fold():

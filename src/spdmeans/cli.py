@@ -8,8 +8,9 @@ symmetry within round-off, stored symmetrized) of the file's dimension;
 index in the file.
 
 Exit codes: 0 success (and all checks passed), 1 at least one check
-failed, 2 bad input (flags, files, non-SPD matrices), 3 the Karcher
-solver did not converge.
+failed, 2 bad input (flags, files, non-SPD matrices) or an error raised
+by a check trial, which names the check and the trial seed, 3 the Karcher
+solver did not converge in ``mean``.
 """
 
 from __future__ import annotations

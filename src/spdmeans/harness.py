@@ -22,34 +22,36 @@ call.
 Loewner comparisons are scaled by the larger ``max|entry|`` of the
 operands and equality comparisons use the relative max-norm, so neither
 verdict depends on the scale of the matrices.
+
+A check is written once, as its trial ``check_<name>(kind, sub, tol)``
+(``check_<name>(sub, tol)`` for ``two_var`` and ``karcher_residual``),
+which returns the signed violation of one instance drawn from ``sub``.
+``@_check(kinds)`` makes it the public ``check_<name>(kind, spec,
+trials=100, tol=1e-8)``, which rejects a kind outside ``kinds`` with
+``ValueError`` and sweeps the trial under the report name ``<name>[kind]``,
+and enters it in the suite. A package error raised by a trial keeps its
+type and attributes, and its message names the check and the trial seed.
+The two Jensen checks take a :class:`RegularMap`; the suite runs them on
+the auxiliary maps of the inductive and variant means.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import (SpdMatrix, SpdTuple, certify, congruence_arr, eigvalsh,
-                     inverse, power, power_arr, rebuild)
-from .means import (
-    ConvergenceError,
-    MeanKind,
-    RegularMap,
-    arithmetic_mean,
-    harmonic_mean,
-    inductive_auxiliary,
-    inductive_mean,
-    karcher_mean,
-    karcher_residual,
-    mean,
-    variant_auxiliary,
-    variant_mean,
-    weighted_geometric_2,
-)
+from .kernel import (SpdMatrix, SpdMeansError, SpdTuple, certify, congruence_arr,
+                     eigvalsh, inverse, power_arr, rebuild)
+from .means import (ConvergenceError, MeanKind, RegularMap, arithmetic_mean,
+                    harmonic_mean, inductive_auxiliary, inductive_mean,
+                    karcher_mean, karcher_residual, mean, variant_auxiliary,
+                    variant_mean, weighted_geometric_2)
 
 __all__ = [
     "GenSpec",
@@ -267,8 +269,8 @@ def _sweep(name: str, spec: GenSpec, trials: int, tol: float,
            trial_fn: Callable[[GenSpec], float]) -> CheckReport:
     # Every check runs here. A NaN or infinite tol would pass every trial,
     # and a NaN violation fails its trial and is the worst one seen.
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     worst = -math.inf
@@ -276,193 +278,200 @@ def _sweep(name: str, spec: GenSpec, trials: int, tol: float,
     failures = 0
     for t in range(trials):
         sub = replace(spec, seed=_trial_seed(spec.seed, t))
-        v = trial_fn(sub)
+        try:
+            v = trial_fn(sub)
+        except SpdMeansError as exc:
+            # Same type and attributes; the message names the check and the
+            # seed that reproduces this trial as trial 0.
+            exc.args = (f"{name}: trial seed {sub.seed}: {exc}",)
+            raise
         if not v <= worst and not math.isnan(worst):
             worst, worst_seed = v, sub.seed
         if not v <= 0.0:
             failures += 1
-    return CheckReport(
-        check_name=name,
-        trials=trials,
-        failures=failures,
-        worst_violation=worst,
-        witness_seed=worst_seed if failures else None,
-    )
+    return CheckReport(name, trials, failures, worst,
+                       worst_seed if failures else None)
 
 
 # ---------------------------------------------------------------------------
-# checks
+# checks: each is its trial, registered by @_check
 # ---------------------------------------------------------------------------
 
-def check_monotone(kind: MeanKind | str, spec: GenSpec,
-                   trials: int = 100, tol: float = 1e-8) -> CheckReport:
+_GEOMETRIC = (MeanKind.INDUCTIVE, MeanKind.VARIANT, MeanKind.KARCHER)
+_ALL_KINDS = tuple(MeanKind)
+# kind -> the k-variable map whose perspective is its k+1 variable mean
+_AUXILIARY = {MeanKind.INDUCTIVE: inductive_auxiliary,
+              MeanKind.VARIANT: variant_auxiliary}
+_JENSEN_KINDS = tuple(_AUXILIARY)
+_DUAL = {MeanKind.ARITHMETIC: MeanKind.HARMONIC,
+         MeanKind.HARMONIC: MeanKind.ARITHMETIC}
+
+# name -> (runner, its kinds or None if kind-independent), in definition order
+_REGISTRY: dict[str, tuple[Callable, tuple[MeanKind, ...] | None]] = {}
+
+_ARG = inspect.Parameter.POSITIONAL_OR_KEYWORD
+_KIND = inspect.Parameter("kind", _ARG, annotation="MeanKind | str")
+_SWEEP = [inspect.Parameter("spec", _ARG, annotation="GenSpec"),
+          inspect.Parameter("trials", _ARG, default=100, annotation="int"),
+          inspect.Parameter("tol", _ARG, default=1e-8, annotation="float")]
+
+
+def _check(kinds: tuple[MeanKind, ...] | None) -> Callable:
+    """Make the trial ``check_<name>`` the public check of that name.
+
+    ``kinds=None`` marks a kind-independent check. The trial's parameters
+    after ``tol`` are options of the check, passed to every trial.
+    """
+    def register(trial: Callable[..., float]) -> Callable[..., CheckReport]:
+        name = trial.__name__.removeprefix("check_")
+        head = [] if kinds is None else [_KIND]
+        options = list(inspect.signature(trial).parameters.values())[len(head) + 2:]
+        signature = inspect.Signature(head + _SWEEP + options,
+                                      return_annotation="CheckReport")
+
+        @functools.wraps(trial)
+        def check(*args, **kwargs) -> CheckReport:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            if kinds is None:
+                spec, trials, tol, *opts = bound.args
+                return _sweep(name, spec, trials, tol,
+                              lambda sub: trial(sub, tol, *opts))
+            kind, spec, trials, tol, *opts = bound.args
+            kind = MeanKind(kind)
+            if kind not in kinds:
+                raise ValueError(f"{name} applies to "
+                                 f"{[k.value for k in kinds]}, not {kind.value!r}")
+            return _sweep(f"{name}[{kind.value}]", spec, trials, tol,
+                          lambda sub: trial(kind, sub, tol, *opts))
+
+        check.__signature__ = signature
+        _REGISTRY[name] = (check, kinds)
+        return check
+
+    return register
+
+
+def _jensen_by_kind(check: Callable) -> Callable:
+    """Enter a map-level Jensen check in the suite, which runs it on the
+    auxiliary map of each kind in ``_JENSEN_KINDS``."""
+    name = check.__name__.removeprefix("check_")
+
+    def run(kind, spec, trials, tol):
+        report = check(_AUXILIARY[kind](spec.k), spec, trials, tol)
+        return replace(report, check_name=f"{name}[{kind.value}]")
+
+    _REGISTRY[name] = (run, _JENSEN_KINDS)
+    return check
+
+
+@_check(_ALL_KINDS)
+def check_monotone(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     """Adding an SPD perturbation to every item never lowers the mean."""
-    kind = MeanKind(kind)
-
-    def trial(sub: GenSpec) -> float:
-        t = gen_tuple(sub)
-        base = mean(kind, t).entries
-        pert = _spd_stack(sub.seed, sub.dim, sub.cond_bound,
-                          [f"pert{i}" for i in range(len(t))])
-        scale = 0.1 * np.abs(t.stack).max(axis=(1, 2))
-        bumped = certify(t.stack + scale[:, None, None] * pert)
-        return _loewner_violation(base, mean(kind, bumped).entries, tol)
-
-    return _sweep(f"monotone[{kind.value}]", spec, trials, tol, trial)
+    t = gen_tuple(sub)
+    base = mean(kind, t).entries
+    pert = _spd_stack(sub.seed, sub.dim, sub.cond_bound,
+                      [f"pert{i}" for i in range(len(t))])
+    scale = 0.1 * np.abs(t.stack).max(axis=(1, 2))
+    bumped = certify(t.stack + scale[:, None, None] * pert)
+    return _loewner_violation(base, mean(kind, bumped).entries, tol)
 
 
-def check_concavity(kind: MeanKind | str, spec: GenSpec,
-                    trials: int = 100, tol: float = 1e-8) -> CheckReport:
+@_check(_ALL_KINDS)
+def check_concavity(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     """Means are jointly concave: mixing tuples beats mixing results."""
-    kind = MeanKind(kind)
-
-    def trial(sub: GenSpec) -> float:
-        ta = gen_tuple(sub)
-        tb = _gen_items(sub, "second")
-        lam = float(_stream(sub.seed, "lambda").uniform(0.0, 1.0))
-        combo = lam * mean(kind, ta).entries + (1.0 - lam) * mean(kind, tb).entries
-        mixed = certify(lam * ta.stack + (1.0 - lam) * tb.stack)
-        return _loewner_violation(combo, mean(kind, mixed).entries, tol)
-
-    return _sweep(f"concavity[{kind.value}]", spec, trials, tol, trial)
+    ta = gen_tuple(sub)
+    tb = _gen_items(sub, "second")
+    lam = float(_stream(sub.seed, "lambda").uniform(0.0, 1.0))
+    combo = lam * mean(kind, ta).entries + (1.0 - lam) * mean(kind, tb).entries
+    mixed = certify(lam * ta.stack + (1.0 - lam) * tb.stack)
+    return _loewner_violation(combo, mean(kind, mixed).entries, tol)
 
 
-def check_congruence(kind: MeanKind | str, spec: GenSpec,
-                     trials: int = 100, tol: float = 1e-8) -> CheckReport:
+@_check(_ALL_KINDS)
+def check_congruence(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     """Invariance under congruence by an invertible matrix."""
-    kind = MeanKind(kind)
-
-    def trial(sub: GenSpec) -> float:
-        t = gen_tuple(sub)
-        rng = _stream(sub.seed, "congr")
-        # Random invertible factor with singular values in [0.1, 10]. An
-        # unconstrained Gaussian draw occasionally has condition numbers
-        # large enough that merely rounding C^T A C to float64 perturbs
-        # the exact invariance beyond testable tolerances.
-        while True:
-            s = 10.0 ** rng.uniform(-1.0, 1.0, sub.dim)
-            u, v = _haar(rng.standard_normal((2, sub.dim, sub.dim)))
-            c = (u * s) @ v
-            if abs(np.linalg.det(c)) >= 1e-6:
-                break
-        m0 = mean(kind, t).entries
-        conj = certify(congruence_arr(c, t.stack))
-        return _releq_violation(
-            mean(kind, conj).entries, congruence_arr(c, m0), tol
-        )
-
-    return _sweep(f"congruence[{kind.value}]", spec, trials, tol, trial)
+    t = gen_tuple(sub)
+    rng = _stream(sub.seed, "congr")
+    # Random invertible factor with singular values in [0.1, 10]. An
+    # unconstrained Gaussian draw occasionally has condition numbers
+    # large enough that merely rounding C^T A C to float64 perturbs
+    # the exact invariance beyond testable tolerances.
+    while True:
+        s = 10.0 ** rng.uniform(-1.0, 1.0, sub.dim)
+        u, v = _haar(rng.standard_normal((2, sub.dim, sub.dim)))
+        c = (u * s) @ v
+        if abs(np.linalg.det(c)) >= 1e-6:
+            break
+    m0 = mean(kind, t).entries
+    conj = certify(congruence_arr(c, t.stack))
+    return _releq_violation(mean(kind, conj).entries, congruence_arr(c, m0), tol)
 
 
-def check_self_dual(kind: MeanKind | str, spec: GenSpec,
-                    trials: int = 100, tol: float = 1e-8) -> CheckReport:
+@_check(_ALL_KINDS)
+def check_self_dual(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     """Duality under inversion.
 
     Geometric kinds are self-dual: ``M(A^-1) = M(A)^-1``. Arithmetic and
     harmonic are each other's duals, so the check compares against the
     partner kind.
     """
-    kind = MeanKind(kind)
-
-    def trial(sub: GenSpec) -> float:
-        t = gen_tuple(sub)
-        inv_t = certify(power_arr(t.stack, -1.0))
-        if kind is MeanKind.ARITHMETIC:
-            lhs = arithmetic_mean(inv_t)
-            rhs = inverse(harmonic_mean(t))
-        elif kind is MeanKind.HARMONIC:
-            lhs = harmonic_mean(inv_t)
-            rhs = inverse(arithmetic_mean(t))
-        else:
-            lhs = mean(kind, inv_t)
-            rhs = inverse(mean(kind, t))
-        return _releq_violation(lhs.entries, rhs.entries, tol)
-
-    return _sweep(f"self_dual[{kind.value}]", spec, trials, tol, trial)
+    t = gen_tuple(sub)
+    lhs = mean(kind, certify(power_arr(t.stack, -1.0)))
+    rhs = inverse(mean(_DUAL.get(kind, kind), t))
+    return _releq_violation(lhs.entries, rhs.entries, tol)
 
 
-def check_determinant(kind: MeanKind | str, spec: GenSpec,
-                      trials: int = 100, tol: float = 1e-8) -> CheckReport:
+@_check(_GEOMETRIC)
+def check_determinant(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     """Geometric means multiply determinants: det M = (prod det A_i)^(1/k).
 
     Compared in log space through the eigenvalues, so large dimensions do
     not overflow.
     """
-    kind = MeanKind(kind)
-    if kind not in _GEOMETRIC:
-        raise ValueError(f"determinant identity only holds for {_GEOMETRIC}")
-
-    def trial(sub: GenSpec) -> float:
-        t = gen_tuple(sub)
-        ld_target = float(np.log(eigvalsh(t.stack)).sum()) / len(t)
-        ld_actual = float(np.log(eigvalsh(mean(kind, t).entries)).sum())
-        return abs(math.expm1(ld_actual - ld_target)) - tol
-
-    return _sweep(f"determinant[{kind.value}]", spec, trials, tol, trial)
+    t = gen_tuple(sub)
+    ld_target = float(np.log(eigvalsh(t.stack)).sum()) / len(t)
+    ld_actual = float(np.log(eigvalsh(mean(kind, t).entries)).sum())
+    return abs(math.expm1(ld_actual - ld_target)) - tol
 
 
-def check_hga(kind: MeanKind | str, spec: GenSpec,
-              trials: int = 100, tol: float = 1e-8) -> CheckReport:
+@_check(_GEOMETRIC)
+def check_hga(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     """Harmonic <= geometric <= arithmetic, in the Loewner order."""
-    kind = MeanKind(kind)
-    if kind not in _GEOMETRIC:
-        raise ValueError(f"the sandwich applies to {_GEOMETRIC}")
-
-    def trial(sub: GenSpec) -> float:
-        t = gen_tuple(sub)
-        g = mean(kind, t).entries
-        return max(
-            _loewner_violation(harmonic_mean(t).entries, g, tol),
-            _loewner_violation(g, arithmetic_mean(t).entries, tol),
-        )
-
-    return _sweep(f"hga[{kind.value}]", spec, trials, tol, trial)
+    t = gen_tuple(sub)
+    g = mean(kind, t).entries
+    return max(_loewner_violation(harmonic_mean(t).entries, g, tol),
+               _loewner_violation(g, arithmetic_mean(t).entries, tol))
 
 
-def check_updating(kind: MeanKind | str, spec: GenSpec,
-                   trials: int = 100, tol: float = 1e-8) -> CheckReport:
+@_check(_JENSEN_KINDS)
+def check_updating(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     """Appending the identity contracts to the previous mean.
 
     Inductive: ``G_{k+1}(A_1..A_k, I) = G_k(A_1..A_k)^(k/(k+1))``.
     Variant:   ``H_{k+1}(A_1..A_k, I) = H_k(A_1^(k/(k+1)), ...)``.
+    Each right side is the kind's auxiliary map, whose perspective at
+    ``I`` is the mean of the extended tuple.
     """
-    kind = MeanKind(kind)
-    if kind not in (MeanKind.INDUCTIVE, MeanKind.VARIANT):
-        raise ValueError("updating rules are defined for inductive and variant")
-
-    def trial(sub: GenSpec) -> float:
-        t = gen_tuple(sub)
-        ext = certify(np.concatenate([t.stack, np.eye(sub.dim)[None]]))
-        p = sub.k / (sub.k + 1)
-        if kind is MeanKind.INDUCTIVE:
-            lhs = inductive_mean(ext)
-            rhs = power(inductive_mean(t), p)
-        else:
-            lhs = variant_mean(ext)
-            rhs = variant_mean(certify(power_arr(t.stack, p)))
-        return _releq_violation(lhs.entries, rhs.entries, tol)
-
-    return _sweep(f"updating[{kind.value}]", spec, trials, tol, trial)
+    t = gen_tuple(sub)
+    ext = certify(np.concatenate([t.stack, np.eye(sub.dim)[None]]))
+    rhs = _AUXILIARY[kind](sub.k).fn(t)
+    return _releq_violation(mean(kind, ext).entries, rhs.entries, tol)
 
 
-def check_block_regularity(kind: MeanKind | str, spec: GenSpec,
-                           trials: int = 100, tol: float = 1e-8,
-                           block_sizes: tuple[int, int] | None = None) -> CheckReport:
+@_check(_ALL_KINDS)
+def check_block_regularity(kind: MeanKind, sub: GenSpec, tol: float,
+                           block_sizes: tuple[int, int] | None = None) -> float:
     """Means act blockwise on block-diagonal tuples.
 
     ``block_sizes`` overrides the default even split of ``spec.dim``.
     """
-    kind = MeanKind(kind)
-    d1, d2 = block_sizes if block_sizes is not None else _block_sizes(spec.dim)
-    if d1 < 1 or d2 < 1 or d1 + d2 != spec.dim:
-        raise ValueError(f"block sizes {d1}+{d2} do not partition dim {spec.dim}")
-
-    def trial(sub: GenSpec) -> float:
-        xs, ys, full = _block_parts(sub, d1, d2)
-        oracle = _assemble_block(mean(kind, xs).entries, mean(kind, ys).entries)
-        return _releq_violation(mean(kind, full).entries, oracle, tol)
-
-    return _sweep(f"block_regularity[{kind.value}]", spec, trials, tol, trial)
+    d1, d2 = block_sizes if block_sizes is not None else _block_sizes(sub.dim)
+    if d1 < 1 or d2 < 1 or d1 + d2 != sub.dim:
+        raise ValueError(f"block sizes {d1}+{d2} do not partition dim {sub.dim}")
+    xs, ys, full = _block_parts(sub, d1, d2)
+    oracle = _assemble_block(mean(kind, xs).entries, mean(kind, ys).entries)
+    return _releq_violation(mean(kind, full).entries, oracle, tol)
 
 
 def _contraction(sub: GenSpec) -> np.ndarray:
@@ -472,9 +481,9 @@ def _contraction(sub: GenSpec) -> np.ndarray:
     return g * (0.9 / smax)
 
 
+@_jensen_by_kind
 def check_jensen_contraction(F: RegularMap, spec: GenSpec,
-                             trials: int = 100, tol: float = 1e-8,
-                             name: str = "jensen_contraction") -> CheckReport:
+                             trials: int = 100, tol: float = 1e-8) -> CheckReport:
     """Jensen inequality for a concave map under a contraction.
 
     For ``C`` with top singular value 0.9:
@@ -490,12 +499,12 @@ def check_jensen_contraction(F: RegularMap, spec: GenSpec,
         conj = certify(congruence_arr(c, t.stack))
         return _loewner_violation(lhs, F.fn(conj).entries, tol)
 
-    return _sweep(name, spec, trials, tol, trial)
+    return _sweep("jensen_contraction", spec, trials, tol, trial)
 
 
+@_jensen_by_kind
 def check_jensen_pair(F: RegularMap, spec: GenSpec,
-                      trials: int = 100, tol: float = 1e-8,
-                      name: str = "jensen_pair") -> CheckReport:
+                      trials: int = 100, tol: float = 1e-8) -> CheckReport:
     """Two-term Jensen inequality with ``X = C`` and ``Y = (I - C^T C)^1/2``.
 
     ``X^T X + Y^T Y = I`` exactly in this construction, and concavity gives
@@ -515,25 +524,20 @@ def check_jensen_pair(F: RegularMap, spec: GenSpec,
                         + congruence_arr(y, tb.stack))
         return _loewner_violation(lhs, F.fn(combo).entries, tol)
 
-    return _sweep(name, spec, trials, tol, trial)
+    return _sweep("jensen_pair", spec, trials, tol, trial)
 
 
-def check_commuting(kind: MeanKind | str, spec: GenSpec,
-                    trials: int = 100, tol: float = 1e-8) -> CheckReport:
+@_check(_ALL_KINDS)
+def check_commuting(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     """On commuting tuples every mean reduces to its scalar counterpart.
 
     Items share an eigenbasis; the oracle applies the scalar mean to each
     eigenvalue row and rebuilds in that basis.
     """
-    kind = MeanKind(kind)
-
-    def trial(sub: GenSpec) -> float:
-        q, lams, items = _commuting_parts(sub)
-        m = mean(kind, items).entries
-        oracle = rebuild(q, scalar_mean(kind, lams))
-        return _releq_violation(m, oracle, tol)
-
-    return _sweep(f"commuting[{kind.value}]", spec, trials, tol, trial)
+    q, lams, items = _commuting_parts(sub)
+    m = mean(kind, items).entries
+    oracle = rebuild(q, scalar_mean(kind, lams))
+    return _releq_violation(m, oracle, tol)
 
 
 def scalar_mean(kind: MeanKind | str, rows: np.ndarray) -> np.ndarray:
@@ -546,74 +550,29 @@ def scalar_mean(kind: MeanKind | str, rows: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 / rows).mean(axis=0)
 
 
-def check_two_var(spec: GenSpec, trials: int = 100,
-                  tol: float = 1e-8) -> CheckReport:
+@_check(None)
+def check_two_var(sub: GenSpec, tol: float) -> float:
     """All geometric kinds agree with the closed form at k = 2."""
-
-    def trial(sub: GenSpec) -> float:
-        pair = _gen_items(replace(sub, k=2))
-        closed = weighted_geometric_2(pair[0], pair[1], 0.5).entries
-        return max(
-            _releq_violation(inductive_mean(pair).entries, closed, tol),
-            _releq_violation(variant_mean(pair).entries, closed, tol),
-            _releq_violation(karcher_mean(pair).entries, closed, tol),
-        )
-
-    return _sweep("two_var", spec, trials, tol, trial)
+    pair = _gen_items(replace(sub, k=2))
+    closed = weighted_geometric_2(pair[0], pair[1], 0.5).entries
+    return max(_releq_violation(geo(pair).entries, closed, tol)
+               for geo in (inductive_mean, variant_mean, karcher_mean))
 
 
-def check_karcher_residual(spec: GenSpec, trials: int = 100,
-                           tol: float = 1e-8) -> CheckReport:
+@_check(None)
+def check_karcher_residual(sub: GenSpec, tol: float) -> float:
     """The Karcher solution's log-sum residual is numerically zero."""
-
-    def trial(sub: GenSpec) -> float:
-        t = gen_tuple(sub)
-        try:
-            x = karcher_mean(t)
-        except ConvergenceError as exc:
-            return exc.residual_norm - tol
-        return float(np.linalg.norm(karcher_residual(x, t).entries)) - tol
-
-    return _sweep("karcher_residual", spec, trials, tol, trial)
+    t = gen_tuple(sub)
+    try:
+        x = karcher_mean(t)
+    except ConvergenceError as exc:
+        return exc.residual_norm - tol
+    return float(np.linalg.norm(karcher_residual(x, t).entries)) - tol
 
 
 # ---------------------------------------------------------------------------
 # suite runner
 # ---------------------------------------------------------------------------
-
-_GEOMETRIC = (MeanKind.INDUCTIVE, MeanKind.VARIANT, MeanKind.KARCHER)
-_ALL_KINDS = tuple(MeanKind)
-_JENSEN_KINDS = (MeanKind.INDUCTIVE, MeanKind.VARIANT)
-
-
-def _jensen_by_kind(check: Callable) -> Callable:
-    """Run a Jensen check on the auxiliary map of the mean kind given."""
-    name = check.__name__.removeprefix("check_")
-
-    def run(kind, spec, trials, tol):
-        aux = (inductive_auxiliary if kind is MeanKind.INDUCTIVE
-               else variant_auxiliary)(spec.k)
-        return check(aux, spec, trials, tol, name=f"{name}[{kind.value}]")
-
-    return run
-
-
-# name -> (runner, kinds it applies to; None marks kind-independent checks)
-_REGISTRY: dict[str, tuple[Callable, tuple[MeanKind, ...] | None]] = {
-    "monotone": (check_monotone, _ALL_KINDS),
-    "concavity": (check_concavity, _ALL_KINDS),
-    "congruence": (check_congruence, _ALL_KINDS),
-    "self_dual": (check_self_dual, _ALL_KINDS),
-    "determinant": (check_determinant, _GEOMETRIC),
-    "hga": (check_hga, _GEOMETRIC),
-    "updating": (check_updating, _JENSEN_KINDS),
-    "block_regularity": (check_block_regularity, _ALL_KINDS),
-    "jensen_contraction": (_jensen_by_kind(check_jensen_contraction), _JENSEN_KINDS),
-    "jensen_pair": (_jensen_by_kind(check_jensen_pair), _JENSEN_KINDS),
-    "commuting": (check_commuting, _ALL_KINDS),
-    "two_var": (check_two_var, None),
-    "karcher_residual": (check_karcher_residual, None),
-}
 
 CHECK_NAMES = tuple(_REGISTRY)
 
@@ -629,9 +588,8 @@ def run_suite(suite: Sequence[str], spec: GenSpec, trials: int = 100,
     """
     unknown = [n for n in suite if n not in _REGISTRY]
     if unknown:
-        raise ValueError(
-            f"unknown check name(s) {unknown}; available: {list(CHECK_NAMES)}"
-        )
+        raise ValueError(f"unknown check name(s) {unknown}; "
+                         f"available: {list(CHECK_NAMES)}")
     want = _ALL_KINDS if kinds is None else tuple(MeanKind(k) for k in kinds)
     reports: list[CheckReport] = []
     for name in suite:

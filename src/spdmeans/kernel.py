@@ -377,8 +377,7 @@ def power(A: SpdMatrix, p: float) -> SpdMatrix:
     The result is certified by :func:`certify`: its witness is the smallest
     eigenvalue of the stored entries.
     """
-    w, v = eigh_pd(A.entries)
-    return certify(rebuild(v, w**p)[None])[0]
+    return certify(power_arr(A.entries, p)[None])[0]
 
 
 def sqrt(A: SpdMatrix) -> SpdMatrix:
@@ -406,11 +405,10 @@ def log_m(A: SpdMatrix) -> SymMatrix:
 
 def exp_m(S: SymMatrix) -> SpdMatrix:
     """SPD matrix exponential of a symmetric matrix; overflow is a ``DomainError``."""
-    w, v = eigh(S.entries)
     # exp(w), or a + a^T in the rebuild, may overflow; certify's finiteness
     # check turns that into the DomainError
     with np.errstate(over="ignore", invalid="ignore"):
-        a = rebuild(v, np.exp(w))
+        a = exp_arr(S.entries)
     return certify(a[None])[0]
 
 

@@ -284,6 +284,21 @@ def test_check_failure_exit_code_and_witness(capsys):
     assert f"worst_violation={worst}" in out2
 
 
+def test_check_error_names_the_check_and_the_trial_seed(capsys):
+    # trial 10 of seed 1 does not converge; the seed in the message
+    # replays it as the one trial of a rerun
+    args = ["check", "--suite", "congruence", "--kinds", "karcher",
+            "--cond", "1e6", "--dim", "6", "--k", "3"]
+    code, out, err = run([*args, "--trials", "20", "--seed", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        r"error: congruence\[karcher\]: trial seed 3326683750974675155: "
+        r"residual \d\.\d{6}e-10 above tolerance 1\.0e-10 after 500 iterations\n",
+        err), err
+    rerun = run([*args, "--trials", "1", "--seed", "3326683750974675155"], capsys)
+    assert rerun == (2, "", err)
+
+
 def test_check_bad_flags(capsys):
     code, _, err = run(["check", "--suite", "nosuch", "--trials", "2"], capsys)
     assert code == 2 and "unknown check" in err

@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from spdmeans import CHECK_NAMES, GenSpec, MeanKind, gen_spd, gen_tuple, run_suite
+from spdmeans import (CHECK_NAMES, ConvergenceError, GenSpec, MeanKind, gen_spd,
+                      gen_tuple, run_suite)
+from spdmeans import harness
 from spdmeans.harness import (
     STRUCTURES,
     _stream,
@@ -186,9 +189,27 @@ def test_passing_report_shape():
     assert rep.witness_seed is None
 
 
-def test_trials_must_be_positive():
-    with pytest.raises(ValueError):
-        check_two_var(GenSpec(dim=2, k=2, seed=1), trials=0)
+@pytest.mark.parametrize("trials", [0, 2.5, True])
+def test_trials_must_be_positive(trials):
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        check_two_var(GenSpec(dim=2, k=2, seed=1), trials=trials)
+
+
+def test_a_raising_trial_names_its_check_and_seed():
+    # trial 10 of seed 1 does not converge; its seed replays it as trial 0
+    spec = GenSpec(dim=6, k=3, seed=1, cond_bound=1e6)
+    seed = _trial_seed(1, 10)
+    assert seed == 3326683750974675155
+    with pytest.raises(ConvergenceError) as info:
+        check_congruence("karcher", spec, trials=20)
+    exc = info.value
+    assert str(exc).startswith(f"congruence[karcher]: trial seed {seed}: residual ")
+    assert exc.residual_norm > 1e-10 and exc.iterations == 500
+    assert exc.last_iterate.shape == (6, 6)
+    with pytest.raises(ConvergenceError) as again:
+        check_congruence("karcher", dataclasses.replace(spec, seed=seed), trials=1)
+    assert str(again.value) == str(exc)
+    assert again.value.residual_norm == exc.residual_norm
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
@@ -242,14 +263,92 @@ def test_run_suite_kind_filtering():
     assert [r.check_name for r in one] == ["determinant[inductive]"]
 
 
-def test_checks_reject_inapplicable_kinds():
-    spec = GenSpec(dim=2, k=2, seed=9)
-    with pytest.raises(ValueError):
-        check_determinant("arithmetic", spec, trials=1)
-    with pytest.raises(ValueError):
-        check_hga("harmonic", spec, trials=1)
-    with pytest.raises(ValueError):
-        check_updating("karcher", spec, trials=1)
+GEOMETRIC = (MeanKind.INDUCTIVE, MeanKind.VARIANT, MeanKind.KARCHER)
+JENSEN = (MeanKind.INDUCTIVE, MeanKind.VARIANT)
+ALL = tuple(MeanKind)
+
+# check name -> kinds it applies to; None marks kind-independent checks
+APPLIES = {
+    "monotone": ALL,
+    "concavity": ALL,
+    "congruence": ALL,
+    "self_dual": ALL,
+    "determinant": GEOMETRIC,
+    "hga": GEOMETRIC,
+    "updating": JENSEN,
+    "block_regularity": ALL,
+    "jensen_contraction": JENSEN,
+    "jensen_pair": JENSEN,
+    "commuting": ALL,
+    "two_var": None,
+    "karcher_residual": None,
+}
+
+
+def test_run_suite_fans_each_check_over_exactly_its_kinds():
+    assert CHECK_NAMES == tuple(APPLIES)
+    spec = GenSpec(dim=2, k=2, seed=12)
+    for name, kinds in APPLIES.items():
+        got = [r.check_name for r in run_suite([name], spec, trials=1)]
+        assert got == ([name] if kinds is None
+                       else [f"{name}[{k.value}]" for k in kinds]), name
+
+
+@pytest.mark.parametrize("name,kind", [
+    (name, kind) for name, kinds in APPLIES.items()
+    if kinds is not None and not name.startswith("jensen")
+    for kind in MeanKind if kind not in kinds
+])
+def test_checks_reject_inapplicable_kinds(name, kind):
+    check = getattr(harness, f"check_{name}")
+    with pytest.raises(ValueError, match=f"{name} applies to"):
+        check(kind, GenSpec(dim=2, k=2, seed=9), trials=1)
+    with pytest.raises(ValueError, match=f"{name} applies to"):
+        check(kind.value, GenSpec(dim=2, k=2, seed=9), trials=1)
+
+
+EMPTY = inspect.Parameter.empty
+SWEEP = (("spec", EMPTY), ("trials", 100), ("tol", 1e-8))
+KIND_CHECK = (("kind", EMPTY),) + SWEEP
+
+# the public checks' parameter names, in order, with their defaults
+SIGNATURES = {
+    "check_monotone": KIND_CHECK,
+    "check_concavity": KIND_CHECK,
+    "check_congruence": KIND_CHECK,
+    "check_self_dual": KIND_CHECK,
+    "check_determinant": KIND_CHECK,
+    "check_hga": KIND_CHECK,
+    "check_updating": KIND_CHECK,
+    "check_block_regularity": KIND_CHECK + (("block_sizes", None),),
+    "check_jensen_contraction": (("F", EMPTY),) + SWEEP,
+    "check_jensen_pair": (("F", EMPTY),) + SWEEP,
+    "check_commuting": KIND_CHECK,
+    "check_two_var": SWEEP,
+    "check_karcher_residual": SWEEP,
+}
+
+
+@pytest.mark.parametrize("name", list(SIGNATURES))
+def test_public_check_signatures(name):
+    check = getattr(harness, name)
+    params = inspect.signature(check).parameters.values()
+    assert tuple((p.name, p.default) for p in params) == SIGNATURES[name]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert check.__name__ == name
+    assert check.__doc__ and check.__doc__.strip()
+    assert name in harness.__all__
+
+
+def test_public_checks_bind_like_their_signatures():
+    spec = GenSpec(dim=4, k=2, seed=10)
+    by_position = check_block_regularity("variant", spec, 2, 1e-8, (3, 1))
+    assert by_position == check_block_regularity(
+        kind="variant", spec=spec, trials=2, block_sizes=(3, 1))
+    with pytest.raises(TypeError):
+        check_monotone("variant", spec, block_sizes=(3, 1))
+    with pytest.raises(TypeError):
+        check_two_var(spec, kind="variant")
 
 
 def test_block_regularity_custom_sizes():

@@ -205,3 +205,45 @@ def test_random_streams_are_seeded_only_in_harness_stream():
     found = [hit for path in modules for hit in seeding_uses(path)
              if not (path == harness and hit.endswith(" in _stream"))]
     assert not found, found
+
+
+def harness_plumbing(source, filename="<source>"):
+    """Scopes that call ``_sweep`` and scopes that write ``_REGISTRY``.
+
+    A write is an item store, any attribute of the dict (``update`` and
+    the other methods), or a binding of the name to anything but an empty
+    dict.
+    """
+    sweeps, writes = [], []
+    for node, scope in scoped_nodes(ast.parse(source, filename=filename)):
+        if calls_of(node, "_sweep"):
+            sweeps.append(scope)
+        if (isinstance(node, (ast.Subscript, ast.Attribute))
+                and getattr(node.value, "id", None) == "_REGISTRY"
+                and (isinstance(node, ast.Attribute)
+                     or isinstance(node.ctx, ast.Store))):
+            writes.append(scope)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if (any(getattr(t, "id", None) == "_REGISTRY" for t in targets)
+                    and not (isinstance(node.value, ast.Dict) and not node.value.keys)):
+                writes.append(scope)
+    return sweeps, writes
+
+
+def test_each_check_is_swept_and_registered_in_one_place():
+    # A check's kind gate, sweep and suite entry are written once, by the
+    # registering decorator; only the two map-level Jensen checks sweep
+    # for themselves, and the suite enters those by kind.
+    planted = ("_REGISTRY: dict = {'a': 1}\n"
+               "def f():\n"
+               "    _REGISTRY['b'] = 2\n"
+               "    _REGISTRY.update(c=3)\n"
+               "    return _sweep('f', None, 1, 0.0, _REGISTRY['a'])\n")
+    assert harness_plumbing(planted) == (["f"], ["<module>", "f", "f"])
+    harness = PACKAGE / "harness.py"
+    sweeps, writes = harness_plumbing(harness.read_text(), harness.name)
+    assert {scope.split(".")[0] for scope in sweeps} == {
+        "_check", "check_jensen_contraction", "check_jensen_pair"}, sweeps
+    assert {scope.split(".")[0] for scope in writes} == {
+        "_check", "_jensen_by_kind"}, writes

@@ -5,9 +5,10 @@ construction that lifts a k-variable matrix map to k+1 variables, the
 inductive geometric mean defined through that lift and computed as the
 fold ``G_j = G_{j-1} #_{1/j} A_j`` its updating condition gives, a variant
 geometric mean with a different updating rule, arithmetic and harmonic
-means, and the Karcher mean, solved on the vanishing-log-sum equation by a
-plain fixed-point update plus Anderson extrapolation, one residual per
-iterate and a second for each rejected extrapolation.
+means, and the Karcher mean, solved on the vanishing-log-sum equation by
+inexact Newton steps: conjugate gradients in the eigenbases that each
+residual evaluation already computes, one residual per update and a second
+when the Bini-Iannazzo step replaces a Newton step that does not help.
 
 They run on plain arrays through the core of :mod:`spdmeans.kernel`, and
 read a tuple in one form only: its frozen ``(k, n, n)`` stack
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -89,10 +89,12 @@ class MeanKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings for the Karcher fixed-point solver.
+    """Settings for the Karcher solver.
 
     ``residual_tol`` bounds the Frobenius norm of the residual at the
-    returned mean; ``max_iter`` caps the number of updates.
+    returned mean; ``max_iter`` caps the number of updates, each a Newton
+    step or, where that step does not lower the residual, a Bini-Iannazzo
+    step.
     """
 
     residual_tol: float = 1e-10
@@ -129,8 +131,8 @@ class ConvergenceError(SpdMeansError):
     """Karcher solver ran out of iterations above the residual tolerance.
 
     ``last_iterate`` holds the best iterate seen, the one with the lowest
-    residual, and ``residual_norm`` its residual; the iterations need not
-    decrease the residual monotonically.
+    residual, and ``residual_norm`` its residual; near the accuracy floor
+    the fallback steps need not decrease the residual monotonically.
     """
 
     def __init__(self, message: str, last_iterate: np.ndarray,
@@ -207,89 +209,103 @@ def _arithmetic_arr(stack: np.ndarray) -> np.ndarray:
 
 
 def _karcher_state(x: np.ndarray, stack: np.ndarray):
-    """Sqrt of the iterate, log-sum residual, its norm, and log spreads.
+    """Sqrt of the iterate, log-sum residual, its norm, and the spectra.
 
-    The spread of ``X^-1/2 A_i X^-1/2`` is ``log w_max - log w_min``. One
-    stacked eigendecomposition covers the whole tuple ``stack`` (k, n, n).
-    The root is the symmetric one; see :func:`karcher_residual` for why.
+    One stacked eigendecomposition ``X^-1/2 A_i X^-1/2 = V_i diag(w_i)
+    V_i^T`` covers the whole tuple ``stack`` (k, n, n); the state keeps
+    ``log w`` and ``V``, which the Newton operator and the Bini-Iannazzo
+    step read. The root is the symmetric one; see
+    :func:`karcher_residual` for why.
     """
     xs, xis = sqrt_pair(x)
     w, v = eigh_pd(congruence_arr(xis, stack))
     lw = np.log(w)
     # a sum of exactly symmetric matrices is exactly symmetric
     s = rebuild(v, lw).sum(axis=0)
-    return xs, s, float(np.linalg.norm(s)), lw[:, -1] - lw[:, 0]
+    return xs, s, float(np.linalg.norm(s)), lw, v
 
 
-_ACCEL_DEPTH = 4
+def _karcher_jacobian(lw: np.ndarray, v: np.ndarray) -> Callable:
+    """The Newton operator ``J`` of the residual, from its spectra.
 
-
-def _accel_extrapolate(hist_x: deque[np.ndarray], hist_f: deque[np.ndarray]):
-    """Anderson-style extrapolation from recent fixed-point iterates.
-
-    ``hist_x`` holds flattened iterates and ``hist_f`` the flattened
-    displacements ``g(x) - x`` of the plain update at those iterates.
-    Solves a small least-squares problem for the combination of recent
-    steps that best cancels the displacement, and returns the flattened
-    extrapolated iterate (or ``None`` with fewer than two history
-    entries).
+    The residual at ``X^1/2 exp(H) X^1/2`` is ``S - J[H]`` to first order
+    (in a frame rotated by ``I + O(H)``), with
+    ``J[H] = sum_i V_i (C_i o V_i^T H V_i) V_i^T``. With
+    ``L = log w_a - log w_b``, the weight ``C_i[a, b] = (L/2) coth(L/2)``
+    is ``L / (w_a - w_b)``, the divided difference of ``log``, times
+    ``(w_a + w_b) / 2`` from the congruence. Every weight is at least 1, so
+    ``J >= k I`` on symmetric matrices.
     """
-    if len(hist_f) < 2:
-        return None
-    f = np.stack(hist_f, axis=1)
-    g = np.stack(hist_x, axis=1) + f
-    gamma, *_ = np.linalg.lstsq(f[:, 1:] - f[:, :-1], hist_f[-1], rcond=None)
-    return g[:, -1] - (g[:, 1:] - g[:, :-1]) @ gamma
+    half = 0.5 * (lw[:, :, None] - lw[:, None, :])
+    # the series 1 + x^2/3 where x / tanh(x) loses digits or divides 0 by 0
+    small = np.abs(half) < 1e-4
+    c = np.where(small, 1.0 + half * half / 3.0,
+                 half / np.tanh(np.where(small, 1.0, half)))
+    vt = v.swapaxes(-1, -2)
+    return lambda h: (v @ (c * (vt @ h @ v)) @ vt).sum(axis=0)
+
+
+# CG iterations per Newton step; J's condition number is at most the mean
+# over the tuple of (L/2) coth(L/2) at its log spread, about 14 at cond 1e6
+_CG_MAX = 50
+
+
+def _newton_step(s: np.ndarray, r: float, lw: np.ndarray, v: np.ndarray):
+    """Inexact Newton direction ``H`` with ``J[H] ~ S``, by conjugate gradients.
+
+    CG on symmetric matrices under the Frobenius product, from ``H = 0``,
+    stopped at the relative residual ``min(0.5, r)`` (so the outer solve
+    converges superlinearly) or after ``_CG_MAX`` iterations: matmuls
+    only, no eigendecomposition.
+    """
+    jac = _karcher_jacobian(lw, v)
+    h = np.zeros_like(s)
+    res, p, rr = s, s, r * r
+    stop = (min(0.5, r) * r) ** 2
+    for _ in range(_CG_MAX):
+        q = jac(p)
+        alpha = rr / float(np.vdot(p, q))
+        h = h + alpha * p
+        res = res - alpha * q
+        rr, rr_old = float(np.vdot(res, res)), rr
+        if rr <= stop:
+            break
+        p = res + (rr / rr_old) * p
+    return sym_part(h)
 
 
 def _karcher_arr(stack: np.ndarray, cfg: SolverConfig):
-    """Fixed-point solve of ``sum_i log(X^-1/2 A_i X^-1/2) = 0``.
+    """Solve ``sum_i log(X^-1/2 A_i X^-1/2) = 0`` by inexact Newton steps.
 
-    Plain update plus Anderson extrapolation, starting from the arithmetic
-    mean. The plain update ``g = X^1/2 exp(theta * S) X^1/2`` (``S`` the
-    residual at ``X``) feeds the Anderson history. The extrapolated iterate
-    is kept when it is positive definite with a residual below the current
-    one; otherwise ``g`` is taken, at the cost of a second residual. The
-    kept iterate's residual is the one the next update needs. ``theta`` is
-    ``1/k`` until a plain step raises the residual, then the Bini-Iannazzo
-    step from the residual's spectra.
-    The plain update alone contracts slowly on spread-out tuples; the
-    extrapolation removes several error modes at once.
+    Starts from the arithmetic mean. Each update tries the Newton step
+    ``X^1/2 exp(H) X^1/2`` with ``H`` from :func:`_newton_step`, which
+    reuses the spectra of the residual just computed. The step is kept when
+    its state is positive definite with a residual below the current one;
+    otherwise the Bini-Iannazzo step ``X^1/2 exp(theta S) X^1/2``, with
+    ``theta`` from the residual's log spreads, is taken, at the cost of a
+    second residual. So an update costs one residual, two when the Newton
+    step is rejected, which happens mostly at the accuracy floor.
     """
     x = _arithmetic_arr(stack)
-    xs, s, r, spread = _karcher_state(x, stack)
+    xs, s, r, lw, v = _karcher_state(x, stack)
     best_x, best_r = x, r
-    adaptive = False
-    hist_x: deque[np.ndarray] = deque(maxlen=_ACCEL_DEPTH + 1)
-    hist_f: deque[np.ndarray] = deque(maxlen=_ACCEL_DEPTH + 1)
     for _ in range(cfg.max_iter):
         if r <= cfg.residual_tol:
             return x, r
-        if adaptive:
+        trial = congruence_arr(xs, exp_arr(_newton_step(s, r, lw, v)))
+        try:
+            state = _karcher_state(trial, stack)
+        except SpdMeansError:
+            state = None
+        if state is None or not state[2] < r:
             # Bini-Iannazzo: 2 / sum_i L_i / tanh(L_i / 2) over the log
             # spreads; each term tends to 2 as L_i -> 0 (floored against 0/0).
-            l = np.maximum(spread, 1e-8)
+            l = np.maximum(lw[:, -1] - lw[:, 0], 1e-8)
             theta = 2.0 / float(np.sum(l / np.tanh(l / 2)))
-        else:
-            theta = 1.0 / len(stack)
-        g = congruence_arr(xs, exp_arr(s * theta))
-        hist_x.append(x.ravel())
-        hist_f.append(g.ravel() - x.ravel())
-        accel = _accel_extrapolate(hist_x, hist_f)
-        state = None
-        if accel is not None and np.isfinite(accel).all():
-            accel = sym_part(accel.reshape(x.shape))
-            try:
-                state = _karcher_state(accel, stack)
-            except SpdMeansError:
-                pass
-        if state is not None and state[2] < r:
-            x = accel
-        else:
-            state = _karcher_state(g, stack)
-            adaptive = adaptive or state[2] > r
-            x = g
-        xs, s, r, spread = state
+            trial = congruence_arr(xs, exp_arr(s * theta))
+            state = _karcher_state(trial, stack)
+        x = trial
+        xs, s, r, lw, v = state
         if r < best_r:
             best_x, best_r = x, r
     if r <= cfg.residual_tol:
@@ -420,16 +436,18 @@ def karcher_residual(X: SpdMatrix, t: SpdTuple) -> SymMatrix:
     """
     if X.dim != t.dim:
         raise ShapeError(f"dimension mismatch: {X.dim} != {t.dim}")
-    _, s, _, _ = _karcher_state(X.entries, t.stack)
+    s = _karcher_state(X.entries, t.stack)[1]
     return SymMatrix(s)
 
 
 def karcher_mean(t: SpdTuple, cfg: SolverConfig | None = None) -> SpdMatrix:
     """Karcher (Riemannian barycenter) mean of an SPD tuple.
 
-    Solves ``sum_i log(X^-1/2 A_i X^-1/2) = 0`` by a plain fixed-point
-    update plus Anderson extrapolation, starting from the arithmetic mean:
-    one residual per iterate, two when the extrapolation is rejected.
+    Solves ``sum_i log(X^-1/2 A_i X^-1/2) = 0`` by inexact Newton steps,
+    starting from the arithmetic mean: the Newton system is solved by
+    conjugate gradients in the eigenbases of the residual's own
+    eigendecomposition, so an update costs one residual, two when a
+    Bini-Iannazzo step replaces a Newton step that does not lower it.
     Raises :class:`ConvergenceError` if ``cfg.max_iter`` updates do not
     bring the Frobenius norm of the residual under ``cfg.residual_tol``.
     """

@@ -26,7 +26,10 @@ from spdmeans import (
     weighted_geometric_2,
 )
 
-from spdmeans.kernel import congruence, inv_sqrt, log_m, sqrt
+from spdmeans import means
+from spdmeans.harness import GenSpec, gen_tuple
+from spdmeans.kernel import SymMatrix, congruence, exp_m, inv_sqrt, log_m, sqrt
+from spdmeans.means import _karcher_jacobian, _karcher_state
 
 from helpers import random_orthogonal, random_spd, rel_err
 
@@ -321,6 +324,58 @@ def test_karcher_residual_matches_per_matrix_oracle():
     assert rel_err(karcher_residual(x, t).entries, oracle) < 1e-12
     m = karcher_mean(t, SolverConfig(residual_tol=1e-12))
     assert np.linalg.norm(karcher_residual(m, t).entries) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["generic", "repeated"])
+def test_karcher_newton_operator_is_the_residual_derivative(case):
+    # Along the factor Z = X^1/2 exp(eps H / 2) the residual is
+    # sum_i log(exp(-eps H/2) M_i exp(-eps H/2)), M_i = X^-1/2 A_i X^-1/2,
+    # which is karcher_residual(exp(eps H), (M_i)); its derivative at 0 is
+    # -J[H]. The repeated eigenvalues of the second case take the series
+    # branch of (L/2) coth(L/2) off the diagonal.
+    rng = np.random.default_rng(54)
+    if case == "generic":
+        items = [random_spd(rng, 4) for _ in range(3)]
+        x = random_spd(rng, 4)
+    else:
+        q = random_orthogonal(rng, 4)
+        items = [SpdMatrix((q * [2.0, 2.0, 2.0, 7.0]) @ q.T),
+                 random_spd(rng, 4), SpdMatrix(np.diag([3.0, 3.0, 0.5, 0.5]))]
+        x = SpdMatrix(2.0 * np.eye(4))
+    t = SpdTuple(items)
+    _, s, _, lw, v = _karcher_state(x.entries, t.stack)
+    assert np.linalg.norm(s) > 0.1
+    if case == "repeated":
+        gaps = np.abs(lw[:, :, None] - lw[:, None, :])[:, ~np.eye(4, dtype=bool)]
+        assert gaps.min() < 1e-12
+    c = inv_sqrt(x).entries
+    conj = SpdTuple([SpdMatrix(congruence(c, a)) for a in t])
+    h = rng.standard_normal((4, 4))
+    h = (h + h.T) / np.linalg.norm(h + h.T)
+    eps = 1e-4
+    ends = [karcher_residual(exp_m(SymMatrix(e * h)), conj).entries
+            for e in (eps, -eps)]
+    jh = _karcher_jacobian(lw, v)(h)
+    assert rel_err(jh, (ends[1] - ends[0]) / (2 * eps)) < 1e-8
+    # J >= k I on symmetric matrices
+    assert np.vdot(h, jh) >= len(t) * (1 - 1e-12)
+
+
+def test_karcher_solve_cost(monkeypatch):
+    # residuals per solve, the fold's eigh counts' counterpart: each Newton
+    # update costs one residual, two when the Bini-Iannazzo step replaces it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _karcher_state(*args)
+
+    monkeypatch.setattr(means, "_karcher_state", counted)
+    for spec, cost in ((GenSpec(dim=8, k=6, seed=7, cond_bound=100), 6),
+                       (GenSpec(dim=5, k=4, seed=3, cond_bound=1e6), 10)):
+        calls.clear()
+        karcher_mean(gen_tuple(spec))
+        assert len(calls) == cost, spec
 
 
 def test_solver_config_validation():

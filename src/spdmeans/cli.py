@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import CHECK_NAMES, CheckReport, GenSpec, STRUCTURES, gen_tuple, run_suite
+from .harness import CHECK_NAMES, CheckReport, GenSpec, STRUCTURES, gen_tuple, iter_suite
 from .kernel import SpdMeansError, SymMatrix, certify
 from .means import ConvergenceError, MeanKind, SolverConfig, mean
 
@@ -123,22 +123,18 @@ def parse_matrix_text(text: str, fmt: str) -> MatrixFile:
 
 def render_matrix_file(mf: MatrixFile, fmt: str) -> str:
     """Serialize with full round-trip precision (repr of each float)."""
+    grids = [np.asarray(m, dtype=float).tolist() for m in mf.matrices]
     if fmt == "json":
-        obj: dict = {
-            "dim": mf.dim,
-            "matrices": [
-                [[float(x) for x in row] for row in m] for m in mf.matrices
-            ],
-        }
+        obj: dict = {"dim": mf.dim, "matrices": grids}
         if mf.labels is not None:
             obj["labels"] = list(mf.labels)
         return json.dumps(obj) + "\n"
     if fmt == "csv":
         out = [f"dim,{mf.dim}"]
-        for i, m in enumerate(mf.matrices):
+        for i, grid in enumerate(grids):
             if i:
                 out.append("")
-            out.extend(",".join(repr(float(x)) for x in row) for row in m)
+            out.extend(",".join(map(repr, row)) for row in grid)
         return "\n".join(out) + "\n"
     raise InputError(f"unknown format {fmt!r}")
 
@@ -230,12 +226,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     ]
     spec = GenSpec(dim=args.dim, k=args.k, seed=args.seed,
                    cond_bound=args.cond, structure=args.structure)
-    reports = run_suite(suite, spec, trials=args.trials, tol=args.tol,
-                        kinds=kinds)
+    # each report as its check finishes, so a trial that raises keeps the
+    # reports before it, also when stdout is a pipe
+    reports: list[CheckReport] = []
+    for r in iter_suite(suite, spec, trials=args.trials, tol=args.tol,
+                        kinds=kinds):
+        print(_report_line(r), flush=True)
+        reports.append(r)
     if not reports:  # a gate that checked nothing must not pass
         raise InputError("--suite and --kinds select no check")
-    for r in reports:
-        print(_report_line(r))
     failed = sum(r.failures > 0 for r in reports)
     print(f"{len(reports)} checks, {failed} failed")
     return 1 if failed else 0

@@ -42,7 +42,7 @@ import hashlib
 import inspect
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,6 +73,7 @@ __all__ = [
     "check_commuting",
     "check_two_var",
     "check_karcher_residual",
+    "iter_suite",
     "run_suite",
 ]
 
@@ -577,27 +578,34 @@ def check_karcher_residual(sub: GenSpec, tol: float) -> float:
 CHECK_NAMES = tuple(_REGISTRY)
 
 
-def run_suite(suite: Sequence[str], spec: GenSpec, trials: int = 100,
-              tol: float = 1e-8,
-              kinds: Sequence[MeanKind | str] | None = None) -> list[CheckReport]:
-    """Run the named checks, fanning kind-dependent ones over ``kinds``.
+def iter_suite(suite: Sequence[str], spec: GenSpec, trials: int = 100,
+               tol: float = 1e-8,
+               kinds: Sequence[MeanKind | str] | None = None
+               ) -> Iterator[CheckReport]:
+    """Run the named checks, yielding each report as its check finishes.
 
-    Unknown check names raise ``ValueError``. Kind-dependent checks are
-    skipped for kinds they do not apply to (e.g. the determinant identity
-    for the arithmetic mean), so restricting ``kinds`` narrows the suite.
+    Kind-dependent checks are fanned over ``kinds`` and skipped for kinds
+    they do not apply to (e.g. the determinant identity for the arithmetic
+    mean), so restricting ``kinds`` narrows the suite. Unknown check names
+    raise ``ValueError`` before any check runs.
     """
     unknown = [n for n in suite if n not in _REGISTRY]
     if unknown:
         raise ValueError(f"unknown check name(s) {unknown}; "
                          f"available: {list(CHECK_NAMES)}")
     want = _ALL_KINDS if kinds is None else tuple(MeanKind(k) for k in kinds)
-    reports: list[CheckReport] = []
     for name in suite:
         fn, supported = _REGISTRY[name]
         if supported is None:
-            reports.append(fn(spec, trials, tol))
+            yield fn(spec, trials, tol)
         else:
             for kd in want:
                 if kd in supported:
-                    reports.append(fn(kd, spec, trials, tol))
-    return reports
+                    yield fn(kd, spec, trials, tol)
+
+
+def run_suite(suite: Sequence[str], spec: GenSpec, trials: int = 100,
+              tol: float = 1e-8,
+              kinds: Sequence[MeanKind | str] | None = None) -> list[CheckReport]:
+    """Run the named checks and return their reports; see :func:`iter_suite`."""
+    return list(iter_suite(suite, spec, trials, tol, kinds))

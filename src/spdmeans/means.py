@@ -6,9 +6,11 @@ inductive geometric mean defined through that lift and computed as the
 fold ``G_j = G_{j-1} #_{1/j} A_j`` its updating condition gives, a variant
 geometric mean with a different updating rule, arithmetic and harmonic
 means, and the Karcher mean, solved on the vanishing-log-sum equation by
-inexact Newton steps: conjugate gradients in the eigenbases that each
-residual evaluation already computes, one residual per update and a second
-when the Bini-Iannazzo step replaces a Newton step that does not help.
+Newton steps: each Newton system is solved to a relative residual of 1e-6
+by conjugate gradients in the eigenbases that each residual evaluation
+already computes, one residual per update and a second when the
+Bini-Iannazzo step replaces a Newton step that does not help; from that
+first rejection, which marks the accuracy floor, Newton steps are halved.
 
 They run on plain arrays through the core of :mod:`spdmeans.kernel`, and
 read a tuple in one form only: its frozen ``(k, n, n)`` stack
@@ -245,23 +247,29 @@ def _karcher_jacobian(lw: np.ndarray, v: np.ndarray) -> Callable:
     return lambda h: (v @ (c * (vt @ h @ v)) @ vt).sum(axis=0)
 
 
-# CG iterations per Newton step; J's condition number is at most the mean
-# over the tuple of (L/2) coth(L/2) at its log spread, about 14 at cond 1e6
+# CG's relative residual at each Newton step, and its iteration cap. A
+# residual state costs k + 2 eigendecompositions and a CG iteration none, so
+# each Newton system is solved almost exactly. J's condition number kappa is
+# at most the mean over the tuple of (L/2) coth(L/2) at its log spread, about
+# 14 at cond 1e6; the CG bound 2 sqrt(kappa) ((sqrt(kappa) - 1) /
+# (sqrt(kappa) + 1))^m on the relative residual reaches 1e-6 by m = 29
+# (at most 11 seen per step on the bench's library tuples).
+_CG_RTOL = 1e-6
 _CG_MAX = 50
 
 
 def _newton_step(s: np.ndarray, r: float, lw: np.ndarray, v: np.ndarray):
-    """Inexact Newton direction ``H`` with ``J[H] ~ S``, by conjugate gradients.
+    """Newton direction ``H`` with ``J[H] ~ S``, by conjugate gradients.
 
     CG on symmetric matrices under the Frobenius product, from ``H = 0``,
-    stopped at the relative residual ``min(0.5, r)`` (so the outer solve
-    converges superlinearly) or after ``_CG_MAX`` iterations: matmuls
-    only, no eigendecomposition.
+    stopped at the relative residual ``_CG_RTOL``, so that every update up
+    to the accuracy floor is a full Newton step, or after ``_CG_MAX``
+    iterations: matmuls only, no eigendecomposition.
     """
     jac = _karcher_jacobian(lw, v)
     h = np.zeros_like(s)
     res, p, rr = s, s, r * r
-    stop = (min(0.5, r) * r) ** 2
+    stop = (_CG_RTOL * r) ** 2
     for _ in range(_CG_MAX):
         q = jac(p)
         alpha = rr / float(np.vdot(p, q))
@@ -285,19 +293,27 @@ def _karcher_arr(stack: np.ndarray, cfg: SolverConfig):
     ``theta`` from the residual's log spreads, is taken, at the cost of a
     second residual. So an update costs one residual, two when the Newton
     step is rejected, which happens mostly at the accuracy floor.
+
+    A rejection marks the floor, where the computed residual is rounding
+    noise: a full Newton step from there cancels the noise of one reading
+    and lands where the next reading holds the noise of two. So every later
+    Newton step is halved, which averages the noise instead of chasing it
+    and makes a reading under the tolerance more likely at a floor near it.
     """
     x = _arithmetic_arr(stack)
     xs, s, r, lw, v = _karcher_state(x, stack)
     best_x, best_r = x, r
+    scale = 1.0  # of the Newton step: 0.5 from the first rejection on
     for _ in range(cfg.max_iter):
         if r <= cfg.residual_tol:
             return x, r
-        trial = congruence_arr(xs, exp_arr(_newton_step(s, r, lw, v)))
+        trial = congruence_arr(xs, exp_arr(scale * _newton_step(s, r, lw, v)))
         try:
             state = _karcher_state(trial, stack)
         except SpdMeansError:
             state = None
         if state is None or not state[2] < r:
+            scale = 0.5
             # Bini-Iannazzo: 2 / sum_i L_i / tanh(L_i / 2) over the log
             # spreads; each term tends to 2 as L_i -> 0 (floored against 0/0).
             l = np.maximum(lw[:, -1] - lw[:, 0], 1e-8)
@@ -444,10 +460,11 @@ def karcher_mean(t: SpdTuple, cfg: SolverConfig | None = None) -> SpdMatrix:
     """Karcher (Riemannian barycenter) mean of an SPD tuple.
 
     Solves ``sum_i log(X^-1/2 A_i X^-1/2) = 0`` by inexact Newton steps,
-    starting from the arithmetic mean: the Newton system is solved by
-    conjugate gradients in the eigenbases of the residual's own
-    eigendecomposition, so an update costs one residual, two when a
-    Bini-Iannazzo step replaces a Newton step that does not lower it.
+    starting from the arithmetic mean: each Newton system is solved to a
+    relative residual of 1e-6 by conjugate gradients in the eigenbases of
+    the residual's own eigendecomposition, so an update costs one residual,
+    two when a Bini-Iannazzo step replaces a Newton step that does not
+    lower it. From that first rejection on, Newton steps are halved.
     Raises :class:`ConvergenceError` if ``cfg.max_iter`` updates do not
     bring the Frobenius norm of the residual under ``cfg.residual_tol``.
     """

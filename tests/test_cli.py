@@ -58,6 +58,24 @@ def test_json_layout_stable():
     assert render_matrix_file(mf, "json") == '{"dim": 1, "matrices": [[[2.0]]]}\n'
 
 
+def test_render_bytes_match_the_per_element_repr():
+    # the rendering of each entry is repr(float(x)): signed zero, subnormals
+    # and extreme exponents included, in both formats
+    rng = np.random.default_rng(62)
+    m = rng.standard_normal((64, 64)) * 10.0 ** rng.integers(-300, 300, (64, 64))
+    m[0, :4] = [-0.0, 5e-324, -2.2e-308, 1.7976931348623157e308]
+    mats = [m, m.T]
+    grids = [[[float(x) for x in row] for row in a] for a in mats]
+    json_text = json.dumps({"dim": 64, "matrices": grids}) + "\n"
+    csv_lines = ["dim,64"]
+    for i, grid in enumerate(grids):
+        csv_lines += [""] * (i > 0) + [",".join(map(repr, row)) for row in grid]
+    csv_text = "\n".join(csv_lines) + "\n"
+    mf = MatrixFile(dim=64, matrices=mats)
+    assert render_matrix_file(mf, "json") == json_text
+    assert render_matrix_file(mf, "csv") == csv_text
+
+
 def test_parse_rejects_malformed_input():
     with pytest.raises(InputError):
         parse_matrix_text("not json", "json")
@@ -299,9 +317,26 @@ def test_check_error_names_the_check_and_the_trial_seed(capsys):
     assert rerun == (2, "", err)
 
 
+def test_check_keeps_the_reports_finished_before_a_raising_trial(capsys):
+    # each check's report is printed as it finishes; the run still stops
+    # at the raising trial, exits 2 and leaves out the summary line
+    code, out, err = run(["check", "--suite", "commuting,congruence",
+                          "--kinds", "karcher", "--cond", "1e6", "--dim", "6",
+                          "--k", "3", "--trials", "20", "--seed", "1"], capsys)
+    assert code == 2
+    assert re.fullmatch(r"commuting\[karcher\] trials=20 failures=0 "
+                        r"worst_violation=\S+ witness_seed=-\n", out), out
+    assert err.startswith(
+        "error: congruence[karcher]: trial seed 3326683750974675155: residual ")
+
+
 def test_check_bad_flags(capsys):
     code, _, err = run(["check", "--suite", "nosuch", "--trials", "2"], capsys)
     assert code == 2 and "unknown check" in err
+    # a misspelt name fails before any check runs
+    code, out, err = run(["check", "--suite", "two_var,nosuch", "--trials", "2"],
+                         capsys)
+    assert (code, out) == (2, "") and "unknown check name(s) ['nosuch']" in err
     code, _, err = run(["check", "--suite", "two_var", "--trials", "0"], capsys)
     assert code == 2
     code, _, err = run(["check", "--suite", "two_var", "--trials", "2",
@@ -334,7 +369,7 @@ def test_errors_of_every_command_exit_2(tmp_path, capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ConvergenceError("stuck", np.eye(2), 1.0, 1)
 
-    monkeypatch.setattr("spdmeans.cli.run_suite", no_convergence)
+    monkeypatch.setattr("spdmeans.cli.iter_suite", no_convergence)
     code, out, err = run(["check", "--suite", "two_var"], capsys)
     assert (code, out, err) == (2, "", "error: stuck\n")
     code, out, err = run(["gen", "--dim", "2", "--k", "2", "--output",

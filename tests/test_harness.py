@@ -255,6 +255,13 @@ def test_run_suite_unknown_name():
         run_suite(["nope"], GenSpec(dim=2, k=2, seed=1))
 
 
+def test_iter_suite_checks_every_name_before_the_first_report():
+    # a misspelt later name fails before the first check runs
+    reports = harness.iter_suite(["two_var", "nope"], GenSpec(dim=2, k=2, seed=1))
+    with pytest.raises(ValueError, match=r"unknown check name\(s\) \['nope'\]"):
+        next(reports)
+
+
 def test_run_suite_kind_filtering():
     spec = GenSpec(dim=2, k=2, seed=8)
     none = run_suite(["determinant"], spec, trials=2, kinds=["arithmetic"])

@@ -28,7 +28,7 @@ from spdmeans import (
 
 from spdmeans import means
 from spdmeans.harness import GenSpec, gen_tuple
-from spdmeans.kernel import SymMatrix, congruence, exp_m, inv_sqrt, log_m, sqrt
+from spdmeans.kernel import SymMatrix, congruence, exp_arr, exp_m, inv_sqrt, log_m, sqrt
 from spdmeans.means import _karcher_jacobian, _karcher_state
 
 from helpers import random_orthogonal, random_spd, rel_err
@@ -315,6 +315,39 @@ def test_karcher_convergence_error_reports_best_iterate():
     assert all(b <= a for a, b in zip(reported, reported[1:])), reported
 
 
+def test_karcher_newton_steps_are_halved_from_the_first_rejection(monkeypatch):
+    # A rejected Newton step marks the accuracy floor; from then on each
+    # Newton direction H enters exp as H / 2, before it as H itself. The
+    # Bini-Iannazzo step is the exp call that no Newton direction precedes.
+    events, newton_step = [], means._newton_step
+
+    def step(*args):
+        h = newton_step(*args)
+        events.append(("newton", h))
+        return h
+
+    def exp(a):
+        events.append(("exp", a))
+        return exp_arr(a)
+
+    monkeypatch.setattr(means, "_newton_step", step)
+    monkeypatch.setattr(means, "exp_arr", exp)
+    rng = np.random.default_rng([77, 8, 8, 4])
+    t = SpdTuple([random_spd(rng, 8, cond=1e8) for _ in range(4)])
+    with pytest.raises(ConvergenceError):
+        karcher_mean(t, SolverConfig(max_iter=30))
+    scales, scale, prev = [], 1.0, None
+    for kind, a in events:
+        if kind == "exp":
+            if prev is None:
+                scale = 0.5
+            else:
+                assert np.array_equal(a, scale * prev)
+                scales.append(scale)
+        prev = a if kind == "newton" else None
+    assert 1.0 in scales and 0.5 in scales, scales
+
+
 def test_karcher_residual_matches_per_matrix_oracle():
     rng = np.random.default_rng(43)
     t = SpdTuple([random_spd(rng, 5) for _ in range(7)])
@@ -363,7 +396,8 @@ def test_karcher_newton_operator_is_the_residual_derivative(case):
 
 def test_karcher_solve_cost(monkeypatch):
     # residuals per solve, the fold's eigh counts' counterpart: each Newton
-    # update costs one residual, two when the Bini-Iannazzo step replaces it
+    # update costs one residual, two when the Bini-Iannazzo step replaces it;
+    # full Newton steps converge quadratically from the arithmetic mean
     calls = []
 
     def counted(*args):
@@ -371,11 +405,44 @@ def test_karcher_solve_cost(monkeypatch):
         return _karcher_state(*args)
 
     monkeypatch.setattr(means, "_karcher_state", counted)
-    for spec, cost in ((GenSpec(dim=8, k=6, seed=7, cond_bound=100), 6),
-                       (GenSpec(dim=5, k=4, seed=3, cond_bound=1e6), 10)):
+    for spec, cost in ((GenSpec(dim=8, k=6, seed=7, cond_bound=100), 4),
+                       (GenSpec(dim=5, k=4, seed=3, cond_bound=1e6), 6)):
         calls.clear()
         karcher_mean(gen_tuple(spec))
         assert len(calls) == cost, spec
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e6])
+def test_newton_step_solves_to_the_cg_tolerance(monkeypatch, cond):
+    # The inner solve is held to a fixed relative residual: the returned H
+    # has ||J[H] - S||_F <= _CG_RTOL ||S||_F, with an allowance of 1e-12
+    # ||S||_F for the drift between CG's recurred residual and the true
+    # one, and for symmetrizing H; it takes fewer than _CG_MAX
+    # applications of J. The tolerance itself is pinned, so that it cannot
+    # be loosened without this test changing.
+    assert means._CG_RTOL == 1e-6
+    applied = []
+
+    def counted(lw, v):
+        jac = _karcher_jacobian(lw, v)
+
+        def apply(h):
+            applied.append(1)
+            return jac(h)
+        return apply
+
+    monkeypatch.setattr(means, "_karcher_jacobian", counted)
+    rng = np.random.default_rng(61)
+    for dim, k in ((3, 2), (4, 6), (5, 3), (6, 4), (8, 5), (8, 2)):
+        t = gen_tuple(GenSpec(dim=dim, k=k, seed=dim * 10 + k, cond_bound=cond))
+        for x in (t.stack.mean(axis=0), random_spd(rng, dim).entries):
+            _, s, r, lw, v = _karcher_state(x, t.stack)
+            assert r > 1e-3
+            applied.clear()
+            h = means._newton_step(s, r, lw, v)
+            assert 0 < len(applied) < means._CG_MAX
+            gap = np.linalg.norm(_karcher_jacobian(lw, v)(h) - s)
+            assert gap <= (means._CG_RTOL + 1e-12) * r, (dim, k, gap / r)
 
 
 def test_solver_config_validation():

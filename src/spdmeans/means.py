@@ -30,7 +30,9 @@ inverse of that factor in all, and no factor is recomputed along the way.
 
 All means act on ordered tuples (order matters for k >= 3), return
 certified SPD matrices, and reduce to the classic two-variable geometric
-mean at k = 2.
+mean at k = 2. Each kind is an array function of the stack, reached
+through the one private ``_mean``: it raises ``TypeError`` for anything but
+an ``SpdTuple``, returns a one-item tuple's item and certifies the rest.
 """
 
 from __future__ import annotations
@@ -158,13 +160,6 @@ def _geometric_step(f: np.ndarray, fi: np.ndarray, a: np.ndarray, t: float):
     return f @ (u * h), (u / h).T @ fi
 
 
-def _geometric_2_arr(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    # A = L L^T with L = A^1/2 Q for an orthogonal Q; the power commutes
-    # with that rotation, so L serves as the first factor.
-    f, _ = _geometric_step(*chol_pair(a), b, t)
-    return sym_part(f @ f.T)
-
-
 def _inductive_arr(stack: np.ndarray) -> np.ndarray:
     # The fold G_j = G_{j-1} #_{1/j} A_j on one factor of G_j: a Cholesky
     # factorization of A_1, then one eigendecomposition per item.
@@ -208,6 +203,10 @@ def _arithmetic_arr(stack: np.ndarray) -> np.ndarray:
     for a in stack[1:]:
         out += a
     return out / len(stack)
+
+
+def _harmonic_arr(stack: np.ndarray) -> np.ndarray:
+    return _inverse_arr(_arithmetic_arr(_inverse_arr(stack)))
 
 
 def _karcher_state(x: np.ndarray, stack: np.ndarray):
@@ -282,17 +281,19 @@ def _newton_step(s: np.ndarray, r: float, lw: np.ndarray, v: np.ndarray):
     return sym_part(h)
 
 
-def _karcher_arr(stack: np.ndarray, cfg: SolverConfig):
+def _karcher_arr(stack: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """Solve ``sum_i log(X^-1/2 A_i X^-1/2) = 0`` by inexact Newton steps.
 
-    Starts from the arithmetic mean. Each update tries the Newton step
-    ``X^1/2 exp(H) X^1/2`` with ``H`` from :func:`_newton_step`, which
-    reuses the spectra of the residual just computed. The step is kept when
-    its state is positive definite with a residual below the current one;
-    otherwise the Bini-Iannazzo step ``X^1/2 exp(theta S) X^1/2``, with
-    ``theta`` from the residual's log spreads, is taken, at the cost of a
-    second residual. So an update costs one residual, two when the Newton
-    step is rejected, which happens mostly at the accuracy floor.
+    Returns the iterate alone, the first with a residual norm at most
+    ``cfg.residual_tol``. Starts from the arithmetic mean. Each update
+    tries the Newton step ``X^1/2 exp(H) X^1/2`` with ``H`` from
+    :func:`_newton_step`, which reuses the spectra of the residual just
+    computed. The step is kept when its state is positive definite with a
+    residual below the current one; otherwise the Bini-Iannazzo step
+    ``X^1/2 exp(theta S) X^1/2``, with ``theta`` from the residual's log
+    spreads, is taken, at the cost of a second residual. So an update costs
+    one residual, two when the Newton step is rejected, which happens
+    mostly at the accuracy floor.
 
     A rejection marks the floor, where the computed residual is rounding
     noise: a full Newton step from there cancels the noise of one reading
@@ -306,7 +307,7 @@ def _karcher_arr(stack: np.ndarray, cfg: SolverConfig):
     scale = 1.0  # of the Newton step: 0.5 from the first rejection on
     for _ in range(cfg.max_iter):
         if r <= cfg.residual_tol:
-            return x, r
+            return x
         trial = congruence_arr(xs, exp_arr(scale * _newton_step(s, r, lw, v)))
         try:
             state = _karcher_state(trial, stack)
@@ -325,7 +326,7 @@ def _karcher_arr(stack: np.ndarray, cfg: SolverConfig):
         if r < best_r:
             best_x, best_r = x, r
     if r <= cfg.residual_tol:
-        return x, r
+        return x
     raise ConvergenceError(
         f"residual {best_r:.6e} above tolerance {cfg.residual_tol:.1e} "
         f"after {cfg.max_iter} iterations",
@@ -333,6 +334,15 @@ def _karcher_arr(stack: np.ndarray, cfg: SolverConfig):
         residual_norm=best_r,
         iterations=cfg.max_iter,
     )
+
+
+def _mean(arr_fn: Callable[..., np.ndarray], t: SpdTuple, *args) -> SpdMatrix:
+    """The one path from a tuple to its mean ``arr_fn(t.stack, *args)``."""
+    if not isinstance(t, SpdTuple):
+        raise TypeError(f"a mean takes an SpdTuple, got {type(t).__name__}")
+    if len(t) == 1:
+        return t[0]
+    return certify(arr_fn(t.stack, *args)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +367,8 @@ def weighted_geometric_2(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
         return A
     if t == 1.0:
         return B
-    return certify(_geometric_2_arr(A.entries, B.entries, t)[None])[0]
+    f, _ = _geometric_step(*chol_pair(A.entries), B.entries, t)
+    return certify(sym_part(f @ f.T)[None])[0]
 
 
 def perspective(F: RegularMap, args: SpdTuple, B: SpdMatrix) -> SymMatrix:
@@ -392,9 +403,7 @@ def inductive_mean(t: SpdTuple) -> SpdMatrix:
     of ``A_1``, one inverse of that factor and one eigendecomposition per
     item after the first, O(k) in all.
     """
-    if len(t) == 1:
-        return t[0]
-    return certify(_inductive_arr(t.stack)[None])[0]
+    return _mean(_inductive_arr, t)
 
 
 def variant_mean(t: SpdTuple) -> SpdMatrix:
@@ -417,16 +426,12 @@ def variant_mean(t: SpdTuple) -> SpdMatrix:
     45-50 ms, against about 4 ms for the inductive mean (best of 7, numpy
     2.4.6, OpenBLAS on one thread, shared 2-vCPU x86 host).
     """
-    if len(t) == 1:
-        return t[0]
-    return certify(_variant_arr(t.stack)[None])[0]
+    return _mean(_variant_arr, t)
 
 
 def arithmetic_mean(t: SpdTuple) -> SpdMatrix:
     """Entrywise average of the tuple."""
-    if len(t) == 1:
-        return t[0]
-    return certify(_arithmetic_arr(t.stack)[None])[0]
+    return _mean(_arithmetic_arr, t)
 
 
 def harmonic_mean(t: SpdTuple) -> SpdMatrix:
@@ -435,10 +440,7 @@ def harmonic_mean(t: SpdTuple) -> SpdMatrix:
     Each inverse is ``L^-T L^-1`` from a Cholesky factorization, exactly
     symmetrized; no eigendecomposition until the result is certified.
     """
-    if len(t) == 1:
-        return t[0]
-    inv = _inverse_arr(t.stack)
-    return certify(_inverse_arr(_arithmetic_arr(inv))[None])[0]
+    return _mean(_harmonic_arr, t)
 
 
 def karcher_residual(X: SpdMatrix, t: SpdTuple) -> SymMatrix:
@@ -468,12 +470,7 @@ def karcher_mean(t: SpdTuple, cfg: SolverConfig | None = None) -> SpdMatrix:
     Raises :class:`ConvergenceError` if ``cfg.max_iter`` updates do not
     bring the Frobenius norm of the residual under ``cfg.residual_tol``.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    if len(t) == 1:
-        return t[0]
-    x, _ = _karcher_arr(t.stack, cfg)
-    return certify(x[None])[0]
+    return _mean(_karcher_arr, t, SolverConfig() if cfg is None else cfg)
 
 
 _DISPATCH = {
@@ -489,7 +486,9 @@ def mean(kind: MeanKind | str, t: SpdTuple,
     """Dispatch to the mean named by ``kind``.
 
     ``cfg`` is honored by the Karcher solver and ignored by the closed-form
-    kinds. For a single-element tuple every kind returns its item ``t[0]``.
+    kinds. Every kind goes through its public function to ``_mean``, so it
+    raises ``TypeError`` for anything but an ``SpdTuple``, returns the item
+    ``t[0]`` of a single-element tuple and otherwise the certified mean.
     """
     kind = MeanKind(kind)
     if kind is MeanKind.KARCHER:
@@ -502,9 +501,6 @@ def inductive_auxiliary(k: int) -> RegularMap:
 
     ``F(A_1..A_k) = G_k(A_1..A_k)^(k/(k+1))``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-
     def fn(t: SpdTuple) -> SymMatrix:
         return power(inductive_mean(t), k / (k + 1))
 
@@ -516,11 +512,7 @@ def variant_auxiliary(k: int) -> RegularMap:
 
     ``F(A_1..A_k) = H_k(A_1^(k/(k+1)), ..., A_k^(k/(k+1)))``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    p = k / (k + 1)
-
     def fn(t: SpdTuple) -> SymMatrix:
-        return variant_mean(certify(power_arr(t.stack, p)))
+        return variant_mean(certify(power_arr(t.stack, k / (k + 1))))
 
     return RegularMap(arity=k, fn=fn)

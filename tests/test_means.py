@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from spdmeans import (
     weighted_geometric_2,
 )
 
+import spdmeans
+import spdmeans.cli  # noqa: F401  (the tracer patches the CLI layer too)
 from spdmeans import means
 from spdmeans.harness import GenSpec, gen_tuple
 from spdmeans.kernel import SymMatrix, congruence, exp_arr, exp_m, inv_sqrt, log_m, sqrt
@@ -514,6 +517,11 @@ def test_auxiliary_scalar_case():
 def test_regular_map_validation():
     with pytest.raises(ValueError):
         RegularMap(arity=0, fn=lambda t: t[0])
+    # the auxiliary maps take their arity check from RegularMap
+    for k in (0, -1):
+        for auxiliary in (inductive_auxiliary, variant_auxiliary):
+            with pytest.raises(ValueError):
+                auxiliary(k)
 
 
 # -- shared mean behavior ------------------------------------------------------
@@ -544,6 +552,35 @@ def test_mean_dispatch_accepts_strings_and_enums():
         assert np.array_equal(by_enum.entries, by_name.entries)
     with pytest.raises(ValueError):
         mean("median", t)
+
+
+def test_means_take_only_an_spd_tuple():
+    # a one-item list once came back as its unchecked item, a longer one
+    # raised a bare AttributeError
+    eye = SpdMatrix(np.eye(2))
+    calls = [inductive_mean, variant_mean, arithmetic_mean, harmonic_mean,
+             karcher_mean] + [lambda t, kind=kind: mean(kind, t) for kind in MeanKind]
+    for call in calls:
+        for bad in (["x"], [np.eye(2)], [eye], [eye, eye], np.eye(2)[None]):
+            with pytest.raises(TypeError, match=f"got {type(bad).__name__}$"):
+                call(bad)
+
+
+def test_mean_reaches_each_kind_through_its_public_name(monkeypatch):
+    # bench/tracer.py counts a kind's calls by patching the module-level
+    # <kind>_mean names and means._DISPATCH; mean() must go through them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracer import Tracer
+
+    rng = np.random.default_rng(51)
+    t = SpdTuple([random_spd(rng, 2) for _ in range(3)])
+    for kind in MeanKind:
+        tracer = Tracer()
+        with tracer.installed(spdmeans):
+            mean(kind, t)
+        calls = {name: n for name, n in tracer.counts.items()
+                 if name.startswith("means.") and name.endswith(".calls")}
+        assert calls == {f"means.{kind.value}.calls": 1}
 
 
 @pytest.mark.parametrize("kind", list(MeanKind))

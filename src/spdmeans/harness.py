@@ -23,16 +23,21 @@ Loewner comparisons are scaled by the larger ``max|entry|`` of the
 operands and equality comparisons use the relative max-norm, so neither
 verdict depends on the scale of the matrices.
 
-A check is written once, as its trial ``check_<name>(kind, sub, tol)``
-(``check_<name>(sub, tol)`` for ``two_var`` and ``karcher_residual``),
+A check is written once, as its trial ``check_<name>(head, sub, tol)``,
 which returns the signed violation of one instance drawn from ``sub``.
-``@_check(kinds)`` makes it the public ``check_<name>(kind, spec,
-trials=100, tol=1e-8)``, which rejects a kind outside ``kinds`` with
-``ValueError`` and sweeps the trial under the report name ``<name>[kind]``,
-and enters it in the suite. A package error raised by a trial keeps its
-type and attributes, and its message names the check and the trial seed.
-The two Jensen checks take a :class:`RegularMap`; the suite runs them on
-the auxiliary maps of the inductive and variant means.
+``@_check(kinds)`` makes it the public ``check_<name>(head, spec,
+trials=100, tol=1e-8)`` and enters it in the suite. The head is one of:
+
+- none, for ``two_var`` and ``karcher_residual``, swept under ``<name>``;
+- a ``kind``, rejected with ``ValueError`` outside ``kinds`` and swept
+  under ``<name>[kind]``;
+- a :class:`RegularMap` ``F``, for the two Jensen checks: the public check
+  requires ``F.arity == spec.k`` and sweeps under ``<name>``, and the suite
+  runs it on the auxiliary map of the inductive and variant means, under
+  ``<name>[kind]``.
+
+A package error raised by a trial keeps its type and attributes, and its
+message names the report and the trial seed.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import hashlib
 import inspect
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -303,67 +308,64 @@ _ALL_KINDS = tuple(MeanKind)
 # kind -> the k-variable map whose perspective is its k+1 variable mean
 _AUXILIARY = {MeanKind.INDUCTIVE: inductive_auxiliary,
               MeanKind.VARIANT: variant_auxiliary}
-_JENSEN_KINDS = tuple(_AUXILIARY)
 _DUAL = {MeanKind.ARITHMETIC: MeanKind.HARMONIC,
          MeanKind.HARMONIC: MeanKind.ARITHMETIC}
 
-# name -> (runner, its kinds or None if kind-independent), in definition order
-_REGISTRY: dict[str, tuple[Callable, tuple[MeanKind, ...] | None]] = {}
+# name -> (suite runner, its kinds or None if kind-independent), in
+# definition order
+_REGISTRY: dict[str, tuple[Callable, Collection[MeanKind] | None]] = {}
 
 _ARG = inspect.Parameter.POSITIONAL_OR_KEYWORD
-_KIND = inspect.Parameter("kind", _ARG, annotation="MeanKind | str")
 _SWEEP = [inspect.Parameter("spec", _ARG, annotation="GenSpec"),
           inspect.Parameter("trials", _ARG, default=100, annotation="int"),
           inspect.Parameter("tol", _ARG, default=1e-8, annotation="float")]
 
 
-def _check(kinds: tuple[MeanKind, ...] | None) -> Callable:
+def _check(kinds: Collection[MeanKind] | None) -> Callable:
     """Make the trial ``check_<name>`` the public check of that name.
 
-    ``kinds=None`` marks a kind-independent check. The trial's parameters
-    after ``tol`` are options of the check, passed to every trial.
+    ``kinds`` sets the trial's first parameter, the head: none for ``None``,
+    a ``kind`` gated by a tuple of kinds, or a map ``F`` of arity ``spec.k``
+    for a dict ``kind -> auxiliary factory``, which the suite calls by kind.
+    The trial's parameters after ``tol`` are options, passed to every trial.
     """
     def register(trial: Callable[..., float]) -> Callable[..., CheckReport]:
         name = trial.__name__.removeprefix("check_")
-        head = [] if kinds is None else [_KIND]
-        options = list(inspect.signature(trial).parameters.values())[len(head) + 2:]
-        signature = inspect.Signature(head + _SWEEP + options,
+        params = list(inspect.signature(trial).parameters.values())
+        head = ([] if kinds is None else params[:1] if isinstance(kinds, dict)
+                else [params[0].replace(annotation="MeanKind | str")])
+        signature = inspect.Signature(head + _SWEEP + params[len(head) + 2:],
                                       return_annotation="CheckReport")
+
+        def sweep(label, lead, spec, trials, tol, *opts) -> CheckReport:
+            return _sweep(label, spec, trials, tol,
+                          lambda sub: trial(*lead, sub, tol, *opts))
 
         @functools.wraps(trial)
         def check(*args, **kwargs) -> CheckReport:
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            if kinds is None:
-                spec, trials, tol, *opts = bound.args
-                return _sweep(name, spec, trials, tol,
-                              lambda sub: trial(sub, tol, *opts))
-            kind, spec, trials, tol, *opts = bound.args
-            kind = MeanKind(kind)
+            lead, (spec, *rest) = bound.args[:len(head)], bound.args[len(head):]
+            if not isinstance(kinds, tuple):
+                if lead and lead[0].arity != spec.k:
+                    raise ValueError(f"map arity {lead[0].arity} does not "
+                                     f"match spec.k {spec.k}")
+                return sweep(name, lead, spec, *rest)
+            kind = MeanKind(lead[0])
             if kind not in kinds:
                 raise ValueError(f"{name} applies to "
                                  f"{[k.value for k in kinds]}, not {kind.value!r}")
-            return _sweep(f"{name}[{kind.value}]", spec, trials, tol,
-                          lambda sub: trial(kind, sub, tol, *opts))
+            return sweep(f"{name}[{kind.value}]", (kind,), spec, *rest)
+
+        def by_kind(kind, spec, trials, tol) -> CheckReport:
+            lead = kinds[kind](spec.k) if isinstance(kinds, dict) else kind
+            return sweep(f"{name}[{kind.value}]", (lead,), spec, trials, tol)
 
         check.__signature__ = signature
-        _REGISTRY[name] = (check, kinds)
+        _REGISTRY[name] = (check if kinds is None else by_kind, kinds)
         return check
 
     return register
-
-
-def _jensen_by_kind(check: Callable) -> Callable:
-    """Enter a map-level Jensen check in the suite, which runs it on the
-    auxiliary map of each kind in ``_JENSEN_KINDS``."""
-    name = check.__name__.removeprefix("check_")
-
-    def run(kind, spec, trials, tol):
-        report = check(_AUXILIARY[kind](spec.k), spec, trials, tol)
-        return replace(report, check_name=f"{name}[{kind.value}]")
-
-    _REGISTRY[name] = (run, _JENSEN_KINDS)
-    return check
 
 
 @_check(_ALL_KINDS)
@@ -445,7 +447,7 @@ def check_hga(kind: MeanKind, sub: GenSpec, tol: float) -> float:
                _loewner_violation(g, arithmetic_mean(t).entries, tol))
 
 
-@_check(_JENSEN_KINDS)
+@_check(tuple(_AUXILIARY))
 def check_updating(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     """Appending the identity contracts to the previous mean.
 
@@ -482,50 +484,35 @@ def _contraction(sub: GenSpec) -> np.ndarray:
     return g * (0.9 / smax)
 
 
-@_jensen_by_kind
-def check_jensen_contraction(F: RegularMap, spec: GenSpec,
-                             trials: int = 100, tol: float = 1e-8) -> CheckReport:
+@_check(_AUXILIARY)
+def check_jensen_contraction(F: RegularMap, sub: GenSpec, tol: float) -> float:
     """Jensen inequality for a concave map under a contraction.
 
     For ``C`` with top singular value 0.9:
     ``C^T F(A_1..A_k) C <= F(C^T A_1 C, ..., C^T A_k C)``.
     """
-    if F.arity != spec.k:
-        raise ValueError(f"map arity {F.arity} does not match spec.k {spec.k}")
-
-    def trial(sub: GenSpec) -> float:
-        t = gen_tuple(sub)
-        c = _contraction(sub)
-        lhs = congruence_arr(c, F.fn(t).entries)
-        conj = certify(congruence_arr(c, t.stack))
-        return _loewner_violation(lhs, F.fn(conj).entries, tol)
-
-    return _sweep("jensen_contraction", spec, trials, tol, trial)
+    t = gen_tuple(sub)
+    c = _contraction(sub)
+    lhs = congruence_arr(c, F.fn(t).entries)
+    conj = certify(congruence_arr(c, t.stack))
+    return _loewner_violation(lhs, F.fn(conj).entries, tol)
 
 
-@_jensen_by_kind
-def check_jensen_pair(F: RegularMap, spec: GenSpec,
-                      trials: int = 100, tol: float = 1e-8) -> CheckReport:
+@_check(_AUXILIARY)
+def check_jensen_pair(F: RegularMap, sub: GenSpec, tol: float) -> float:
     """Two-term Jensen inequality with ``X = C`` and ``Y = (I - C^T C)^1/2``.
 
     ``X^T X + Y^T Y = I`` exactly in this construction, and concavity gives
     ``X^T F(A) X + Y^T F(B) Y <= F(X^T A_i X + Y^T B_i Y)``.
     """
-    if F.arity != spec.k:
-        raise ValueError(f"map arity {F.arity} does not match spec.k {spec.k}")
-
-    def trial(sub: GenSpec) -> float:
-        ta = gen_tuple(sub)
-        tb = _gen_items(sub, "second")
-        x = _contraction(sub)
-        y = power_arr(np.eye(sub.dim) - x.T @ x, 0.5)
-        lhs = (congruence_arr(x, F.fn(ta).entries)
-               + congruence_arr(y, F.fn(tb).entries))
-        combo = certify(congruence_arr(x, ta.stack)
-                        + congruence_arr(y, tb.stack))
-        return _loewner_violation(lhs, F.fn(combo).entries, tol)
-
-    return _sweep("jensen_pair", spec, trials, tol, trial)
+    ta = gen_tuple(sub)
+    tb = _gen_items(sub, "second")
+    x = _contraction(sub)
+    y = power_arr(np.eye(sub.dim) - x.T @ x, 0.5)
+    lhs = (congruence_arr(x, F.fn(ta).entries)
+           + congruence_arr(y, F.fn(tb).entries))
+    combo = certify(congruence_arr(x, ta.stack) + congruence_arr(y, tb.stack))
+    return _loewner_violation(lhs, F.fn(combo).entries, tol)
 
 
 @_check(_ALL_KINDS)

@@ -33,6 +33,9 @@ certified SPD matrices, and reduce to the classic two-variable geometric
 mean at k = 2. Each kind is an array function of the stack, reached
 through the one private ``_mean``: it raises ``TypeError`` for anything but
 an ``SpdTuple``, returns a one-item tuple's item and certifies the rest.
+That type gate, ``_expect``, is the one the other public operations use
+too, so a list or an array given for a tuple or a matrix is a
+``TypeError`` that names its type.
 """
 
 from __future__ import annotations
@@ -198,11 +201,7 @@ def _inverse_arr(a: np.ndarray) -> np.ndarray:
 
 
 def _arithmetic_arr(stack: np.ndarray) -> np.ndarray:
-    # An in-place running sum; a stacked .mean(axis=0) is slower at large dim.
-    out = stack[0].copy()
-    for a in stack[1:]:
-        out += a
-    return out / len(stack)
+    return stack.sum(axis=0) / len(stack)
 
 
 def _harmonic_arr(stack: np.ndarray) -> np.ndarray:
@@ -336,10 +335,18 @@ def _karcher_arr(stack: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     )
 
 
+def _expect(what: str, cls: type, *values) -> None:
+    """The type gate of this module's public operations: ``TypeError``
+    naming the type of the first value that is not a ``cls``."""
+    for value in values:
+        if not isinstance(value, cls):
+            raise TypeError(f"{what} takes an {cls.__name__}, "
+                            f"got {type(value).__name__}")
+
+
 def _mean(arr_fn: Callable[..., np.ndarray], t: SpdTuple, *args) -> SpdMatrix:
     """The one path from a tuple to its mean ``arr_fn(t.stack, *args)``."""
-    if not isinstance(t, SpdTuple):
-        raise TypeError(f"a mean takes an SpdTuple, got {type(t).__name__}")
+    _expect("a mean", SpdTuple, t)
     if len(t) == 1:
         return t[0]
     return certify(arr_fn(t.stack, *args)[None])[0]
@@ -359,6 +366,7 @@ def weighted_geometric_2(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
     the rotation ``Q = A^-1/2 L``: one Cholesky factorization, one inverse
     of that factor and one eigendecomposition.
     """
+    _expect("weighted_geometric_2", SpdMatrix, A, B)
     if A.dim != B.dim:
         raise ShapeError(f"dimension mismatch: {A.dim} != {B.dim}")
     if not 0.0 <= t <= 1.0:
@@ -380,6 +388,8 @@ def perspective(F: RegularMap, args: SpdTuple, B: SpdMatrix) -> SymMatrix:
     factor equals the root only up to a rotation, and a user's ``F`` need
     not be unitarily invariant.
     """
+    _expect("perspective", SpdTuple, args)
+    _expect("perspective", SpdMatrix, B)
     if F.arity != len(args):
         raise ValueError(f"map has arity {F.arity}, got {len(args)} arguments")
     if args.dim != B.dim:
@@ -422,9 +432,8 @@ def variant_mean(t: SpdTuple) -> SpdMatrix:
     that comes last at the next level gives that level's factor, and the
     level factors multiply into one. So the mean costs k(k-1)/2
     eigendecompositions plus one Cholesky factorization and one inverse,
-    O(k^2): at dim 3, k 200 that is 19900 eigendecompositions and about
-    45-50 ms, against about 4 ms for the inductive mean (best of 7, numpy
-    2.4.6, OpenBLAS on one thread, shared 2-vCPU x86 host).
+    O(k^2): at dim 3, k 200 that is 19900 eigendecompositions, against 199
+    for the inductive mean.
     """
     return _mean(_variant_arr, t)
 
@@ -452,6 +461,8 @@ def karcher_residual(X: SpdMatrix, t: SpdTuple) -> SymMatrix:
     this function and the solver share one computation, so a solve that
     stopped below its tolerance reads back the very residual it stopped on.
     """
+    _expect("karcher_residual", SpdMatrix, X)
+    _expect("karcher_residual", SpdTuple, t)
     if X.dim != t.dim:
         raise ShapeError(f"dimension mismatch: {X.dim} != {t.dim}")
     s = _karcher_state(X.entries, t.stack)[1]

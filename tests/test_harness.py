@@ -27,8 +27,8 @@ from spdmeans.harness import (
     check_updating,
     scalar_mean,
 )
-from spdmeans.kernel import rebuild
-from spdmeans.means import inductive_auxiliary
+from spdmeans.kernel import NotPositiveDefiniteError, rebuild
+from spdmeans.means import RegularMap, inductive_auxiliary
 
 
 def test_gen_spd_deterministic_and_bounded():
@@ -210,6 +210,25 @@ def test_a_raising_trial_names_its_check_and_seed():
         check_congruence("karcher", dataclasses.replace(spec, seed=seed), trials=1)
     assert str(again.value) == str(exc)
     assert again.value.residual_norm == exc.residual_norm
+
+
+def test_a_raising_jensen_trial_names_its_kind(monkeypatch):
+    # the suite runs a Jensen check on each kind's auxiliary map, so an error
+    # raised there names that kind, as a kind-dependent check's error does
+    def boom(t):
+        raise NotPositiveDefiniteError("boom")
+
+    monkeypatch.setitem(harness._AUXILIARY, MeanKind.VARIANT,
+                        lambda k: RegularMap(arity=k, fn=boom))
+    spec = GenSpec(dim=3, k=3, seed=1)
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"^jensen_contraction\[variant\]: trial seed 1: boom$"):
+        run_suite(["jensen_contraction"], spec, trials=2, kinds=["variant"])
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"^jensen_pair: trial seed 1: boom$"):
+        check_jensen_pair(RegularMap(arity=3, fn=boom), spec, trials=2)
+    [report] = run_suite(["jensen_contraction"], spec, trials=2, kinds=["inductive"])
+    assert report.check_name == "jensen_contraction[inductive]" and report.passed
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])

@@ -232,9 +232,8 @@ def harness_plumbing(source, filename="<source>"):
 
 
 def test_each_check_is_swept_and_registered_in_one_place():
-    # A check's kind gate, sweep and suite entry are written once, by the
-    # registering decorator; only the two map-level Jensen checks sweep
-    # for themselves, and the suite enters those by kind.
+    # A check's head gate (kind or map arity), sweep and suite entry are
+    # written once, by the registering decorator, for every check.
     planted = ("_REGISTRY: dict = {'a': 1}\n"
                "def f():\n"
                "    _REGISTRY['b'] = 2\n"
@@ -243,7 +242,5 @@ def test_each_check_is_swept_and_registered_in_one_place():
     assert harness_plumbing(planted) == (["f"], ["<module>", "f", "f"])
     harness = PACKAGE / "harness.py"
     sweeps, writes = harness_plumbing(harness.read_text(), harness.name)
-    assert {scope.split(".")[0] for scope in sweeps} == {
-        "_check", "check_jensen_contraction", "check_jensen_pair"}, sweeps
-    assert {scope.split(".")[0] for scope in writes} == {
-        "_check", "_jensen_by_kind"}, writes
+    assert {scope.split(".")[0] for scope in sweeps} == {"_check"}, sweeps
+    assert {scope.split(".")[0] for scope in writes} == {"_check"}, writes

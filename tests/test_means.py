@@ -566,6 +566,24 @@ def test_means_take_only_an_spd_tuple():
                 call(bad)
 
 
+def test_tuple_and_matrix_operations_name_a_wrong_type():
+    # a list or an array in place of a tuple or a matrix is named by its
+    # type, not reported as a missing attribute
+    eye = SpdMatrix(np.eye(2))
+    pair = SpdTuple([eye, eye])
+    calls = [
+        (lambda: perspective(inductive_auxiliary(2), [eye, eye], eye), "list"),
+        (lambda: perspective(inductive_auxiliary(2), pair, np.eye(2)), "ndarray"),
+        (lambda: karcher_residual(eye, [eye, eye]), "list"),
+        (lambda: karcher_residual(np.eye(2), pair), "ndarray"),
+        (lambda: weighted_geometric_2(np.eye(2), eye, 0.5), "ndarray"),
+        (lambda: weighted_geometric_2(eye, [eye], 0.5), "list"),
+    ]
+    for call, type_name in calls:
+        with pytest.raises(TypeError, match=f"got {type_name}$"):
+            call()
+
+
 def test_mean_reaches_each_kind_through_its_public_name(monkeypatch):
     # bench/tracer.py counts a kind's calls by patching the module-level
     # <kind>_mean names and means._DISPATCH; mean() must go through them

@@ -52,7 +52,7 @@ from typing import Callable, Collection, Iterator, Sequence
 import numpy as np
 
 from .kernel import (SpdMatrix, SpdMeansError, SpdTuple, certify, congruence_arr,
-                     eigvalsh, inverse, power_arr, rebuild)
+                     eigvalsh, inv_arr, inverse, power_arr, rebuild)
 from .means import (ConvergenceError, MeanKind, RegularMap, arithmetic_mean,
                     harmonic_mean, inductive_auxiliary, inductive_mean,
                     karcher_mean, karcher_residual, mean, variant_auxiliary,
@@ -420,7 +420,7 @@ def check_self_dual(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     partner kind.
     """
     t = gen_tuple(sub)
-    lhs = mean(kind, certify(power_arr(t.stack, -1.0)))
+    lhs = mean(kind, certify(inv_arr(t.stack)))
     rhs = inverse(mean(_DUAL.get(kind, kind), t))
     return _releq_violation(lhs.entries, rhs.entries, tol)
 

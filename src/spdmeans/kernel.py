@@ -12,9 +12,12 @@ stack alike: one LAPACK ``eigh`` (checking positive definiteness over the
 whole stack where the function needs it), then ``f(A) = V f(w) V^T``
 rebuilt by matmul, exactly symmetric. Powers, logs, exponentials,
 square-root pairs and congruences are built on it, and the public functions
-wrap the value types around it. The core also holds the one Cholesky
-primitive, :func:`chol_pair`, for congruences that need some factor
-``A = L L^T`` rather than the symmetric root. The positive-definiteness
+wrap the value types around it, behind one type gate, :func:`expect`. The
+core also holds the one Cholesky primitive, :func:`chol_pair`, for
+congruences that need some factor ``A = L L^T`` rather than the symmetric
+root, and the one inverse, :func:`inv_arr`: one LU solve per member,
+exactly symmetrized, about a quarter of an eigendecomposition's cost with
+the same ``cond * eps`` forward error. The positive-definiteness
 rule is written once, over a stack, with one floor: one stacked eigenvalue
 solve, each member's smallest eigenvalue above its :func:`default_spd_tol`.
 ``SpdMatrix`` applies it to one matrix and :func:`certify` to a freshly
@@ -102,6 +105,15 @@ def _pd_witnesses(stack: np.ndarray) -> list[float]:
             f"matrix {i}: smallest eigenvalue {witnesses[i]:.6e}"
             f" not above tolerance {floors[i]:.3e}")
     return witnesses.tolist()
+
+
+def expect(what: str, cls: type, *values) -> None:
+    """The type gate of the public operations: ``TypeError`` naming the
+    type of the first value that is not a ``cls``."""
+    for value in values:
+        if not isinstance(value, cls):
+            raise TypeError(f"{what}: expected {cls.__name__}, "
+                            f"got {type(value).__name__}")
 
 
 def _square_float_array(values, name: str = "matrix") -> np.ndarray:
@@ -202,9 +214,8 @@ class SpdTuple:
         items = tuple(items)
         if not items:
             raise ValueError("an SpdTuple needs at least one matrix")
+        expect("SpdTuple", SpdMatrix, *items)
         for a in items:
-            if not isinstance(a, SpdMatrix):
-                raise TypeError(f"expected SpdMatrix, got {type(a).__name__}")
             if a.dim != items[0].dim:
                 raise ShapeError(
                     f"all matrices must share a dimension: {a.dim} != {items[0].dim}")
@@ -324,6 +335,20 @@ def chol_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return l, np.linalg.inv(l)
 
 
+def inv_arr(a: np.ndarray) -> np.ndarray:
+    """Inverse of each member of a nonsingular symmetric stack, exactly symmetric.
+
+    One LU solve per member, then :func:`sym_part`. A singular member
+    raises ``NotPositiveDefiniteError``.
+    """
+    try:
+        return sym_part(np.linalg.inv(a))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            f"matrix lost positive definiteness: inverse failed: {exc}"
+        ) from exc
+
+
 def congruence_arr(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``c^T a c`` for a symmetric stack ``a``, exactly symmetric."""
     return sym_part(c.swapaxes(-1, -2) @ a @ c)
@@ -354,6 +379,7 @@ def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
     ``ValueError``, ``OverflowError`` or ``ZeroDivisionError`` it raises,
     is a ``DomainError`` naming the offending eigenvalue.
     """
+    expect("spectral_apply", SymMatrix, A)
     w, v = eigh(A.entries)
     out = np.empty_like(w)
     for i, lam in enumerate(w.tolist()):
@@ -377,6 +403,7 @@ def power(A: SpdMatrix, p: float) -> SpdMatrix:
     The result is certified by :func:`certify`: its witness is the smallest
     eigenvalue of the stored entries.
     """
+    expect("power", SymMatrix, A)
     return certify(power_arr(A.entries, p)[None])[0]
 
 
@@ -391,20 +418,24 @@ def inv_sqrt(A: SpdMatrix) -> SpdMatrix:
 
 
 def inverse(A: SpdMatrix) -> SpdMatrix:
-    """Matrix inverse through the eigendecomposition (stays symmetric).
+    """Matrix inverse by one LU solve, exactly symmetrized (:func:`inv_arr`).
 
-    Certified like :func:`power`.
+    Certified like :func:`power`. Against a 50-digit reference its relative
+    max-norm error stays within ``4 * cond * eps`` (``tests/test_oracle.py``).
     """
-    return power(A, -1.0)
+    expect("inverse", SymMatrix, A)
+    return certify(inv_arr(A.entries)[None])[0]
 
 
 def log_m(A: SpdMatrix) -> SymMatrix:
     """Matrix logarithm of an SPD matrix (symmetric, any signature)."""
+    expect("log_m", SymMatrix, A)
     return SymMatrix(log_arr(A.entries))
 
 
 def exp_m(S: SymMatrix) -> SpdMatrix:
     """SPD matrix exponential of a symmetric matrix; overflow is a ``DomainError``."""
+    expect("exp_m", SymMatrix, S)
     # exp(w), or a + a^T in the rebuild, may overflow; certify's finiteness
     # check turns that into the DomainError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -418,6 +449,7 @@ def congruence(C, A: SymMatrix) -> SymMatrix:
     ``C`` is any square array-like with finite entries (no symmetry
     required) of the same dimension as ``A``.
     """
+    expect("congruence", SymMatrix, A)
     c = _square_float_array(C)
     if c.shape[0] != A.dim:
         raise ShapeError(f"dimension mismatch: C is {c.shape[0]}, A is {A.dim}")

@@ -26,8 +26,8 @@ from spdmeans import (
 
 from spdmeans import kernel
 from spdmeans.harness import _loewner_violation
-from spdmeans.kernel import (certify, chol_pair, eigh, exp_arr, log_arr, power_arr,
-                             sqrt_pair)
+from spdmeans.kernel import (certify, chol_pair, eigh, exp_arr, inv_arr, log_arr,
+                             power_arr, sqrt_pair)
 
 from helpers import random_spd, rel_err
 
@@ -354,6 +354,7 @@ def test_core_matches_public_functions_on_stacks_and_matrices():
         (exp_arr, exp_m, sym),
         (lambda a: sqrt_pair(a)[0], sqrt, spd),
         (lambda a: sqrt_pair(a)[1], inv_sqrt, spd),
+        (inv_arr, inverse, spd),
     ]
     for core, public, members in cases:
         stack = np.stack([m.entries for m in members])
@@ -392,3 +393,28 @@ def test_core_rejects_stack_with_one_non_pd_member():
                       1e-6 * np.diag([1.0, 1e-13])])
     with pytest.raises(NotPositiveDefiniteError, match="^matrix 2: "):
         certify(mixed)
+
+
+def test_inv_arr_names_a_singular_member_as_not_positive_definite():
+    # the typed error, not numpy's LinAlgError, and no RuntimeWarning
+    stack = np.stack([np.eye(3), np.diag([1.0, 0.0, 2.0]), 2.0 * np.eye(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (stack, stack[1], np.zeros((2, 2))):
+            with pytest.raises(NotPositiveDefiniteError, match="inverse failed"):
+                inv_arr(a)
+
+
+def test_kernel_operations_name_a_wrong_type():
+    # an array or a list in place of a matrix is named by its type, not
+    # reported as a missing attribute
+    calls = [
+        lambda m: power(m, 0.5), sqrt, inv_sqrt, inverse, log_m, exp_m,
+        lambda m: spectral_apply(m, math.sqrt),
+        lambda m: congruence(np.eye(2), m),
+        lambda m: SpdTuple([SpdMatrix(np.eye(2)), m]),
+    ]
+    for call in calls:
+        for bad, type_name in ((np.eye(2), "ndarray"), ([[1.0, 0.0], [0.0, 1.0]], "list")):
+            with pytest.raises(TypeError, match=f"got {type_name}$"):
+                call(bad)

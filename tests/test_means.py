@@ -646,3 +646,21 @@ def test_updating_rules():
         powered = SpdTuple([power(a, p) for a in items])
         assert rel_err(variant_mean(ext).entries,
                        variant_mean(powered).entries) < 1e-9
+
+
+def test_harmonic_mean_and_inverse_cost_one_lu_solve_per_stack(monkeypatch):
+    # two stacked inverses and the certification, nothing else: no
+    # Cholesky factor, no eigendecomposition
+    rng = np.random.default_rng(53)
+    t = SpdTuple([random_spd(rng, 4) for _ in range(5)])
+    counts = dict.fromkeys(("inv", "cholesky", "eigh", "eigvalsh"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    harmonic_mean(t)
+    assert counts == {"inv": 2, "cholesky": 0, "eigh": 0, "eigvalsh": 1}
+    counts.update(dict.fromkeys(counts, 0))
+    inverse(t[0])
+    assert counts == {"inv": 1, "cholesky": 0, "eigh": 0, "eigvalsh": 1}

@@ -16,6 +16,7 @@ solver did not converge in ``mean``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -83,6 +84,13 @@ def _validate_matrices(dim: int, grids: list, labels) -> MatrixFile:
     return MatrixFile(dim=dim, matrices=mats, labels=labels)
 
 
+def _csv_row(line: str) -> list[float]:
+    try:
+        return [float(x) for x in line.split(",")]
+    except ValueError as exc:
+        raise InputError(f"bad CSV row {line!r}") from exc
+
+
 def parse_matrix_text(text: str, fmt: str) -> MatrixFile:
     """Parse JSON or CSV matrix-file content into a :class:`MatrixFile`."""
     if fmt == "json":
@@ -95,28 +103,15 @@ def parse_matrix_text(text: str, fmt: str) -> MatrixFile:
         return _validate_matrices(obj["dim"], obj["matrices"], obj.get("labels"))
     if fmt == "csv":
         lines = [ln.strip() for ln in text.splitlines()]
-        while lines and not lines[-1]:
-            lines.pop()
         if not lines or not lines[0].startswith("dim,"):
             raise InputError("CSV must start with a 'dim,n' header line")
         try:
             dim = int(lines[0].split(",", 1)[1])
         except (IndexError, ValueError) as exc:
             raise InputError(f"bad CSV header {lines[0]!r}") from exc
-        grids: list[list[list[float]]] = []
-        rows: list[list[float]] = []
-        for ln in lines[1:]:
-            if not ln:
-                if rows:
-                    grids.append(rows)
-                    rows = []
-                continue
-            try:
-                rows.append([float(x) for x in ln.split(",")])
-            except ValueError as exc:
-                raise InputError(f"bad CSV row {ln!r}") from exc
-        if rows:
-            grids.append(rows)
+        # a matrix is a run of nonblank lines
+        grids = [[_csv_row(ln) for ln in run]
+                 for nonblank, run in itertools.groupby(lines[1:], bool) if nonblank]
         return _validate_matrices(dim, grids, None)
     raise InputError(f"unknown format {fmt!r}")
 

@@ -1,8 +1,8 @@
 """Randomized property checks for the mean constructions.
 
-Every check draws seeded SPD tuples, measures a signed violation
-(metric minus a finite tolerance >= 0, so values <= 0 pass and a NaN
-fails), and reports the worst trial. Failures carry a witness seed:
+Every check draws seeded SPD tuples, measures one metric per trial, and
+reports the worst signed violation: the metric minus a finite tolerance
+>= 0, so values <= 0 pass and a NaN fails. Failures carry a witness seed:
 rerunning the same check with ``seed = witness_seed`` and ``trials = 1``
 reproduces the failing trial exactly, because trial t of seed s is trial 0
 of the derived seed ``(s + t * 0x9E3779B97F4A7C15) mod 2^64``.
@@ -23,10 +23,12 @@ Loewner comparisons are scaled by the larger ``max|entry|`` of the
 operands and equality comparisons use the relative max-norm, so neither
 verdict depends on the scale of the matrices.
 
-A check is written once, as its trial ``check_<name>(head, sub, tol)``,
-which returns the signed violation of one instance drawn from ``sub``.
-``@_check(kinds)`` makes it the public ``check_<name>(head, spec,
-trials=100, tol=1e-8)`` and enters it in the suite. The head is one of:
+A check is written once, as its trial ``check_<name>(head, sub, *opts)``,
+which returns the metric of one instance drawn from ``sub`` (a Loewner
+gap, relative distance, determinant misfit or residual norm); only the
+sweep subtracts ``tol``. ``@_check(kinds)`` makes it the public
+``check_<name>(head, spec, trials=100, tol=1e-8, *opts)`` and enters it
+in the suite. The head is one of:
 
 - none, for ``two_var`` and ``karcher_residual``, swept under ``<name>``;
 - a ``kind``, rejected with ``ValueError`` outside ``kinds`` and swept
@@ -251,30 +253,30 @@ def _absmax(a: np.ndarray) -> float:
     return float(np.abs(a).max())
 
 
-def _loewner_violation(small: np.ndarray, large: np.ndarray, tol: float) -> float:
-    """Signed violation of ``small <= large`` in the Loewner order.
+def _loewner_violation(small: np.ndarray, large: np.ndarray) -> float:
+    """Gap of ``small <= large`` in the Loewner order, ``<= 0`` when it holds.
 
-    The lowest eigenvalue of ``large - small`` relative to the larger max|entry|
-    of the operands, so the verdict does not depend on their scale.
+    Minus the lowest eigenvalue of ``large - small``, relative to the larger
+    max|entry| of the operands, so the verdict does not depend on their scale.
     """
     scale = max(_absmax(small), _absmax(large))
     if scale == 0.0:
-        return -tol
-    return -float(eigvalsh(large - small)[0]) / scale - tol
+        return 0.0
+    return -float(eigvalsh(large - small)[0]) / scale
 
 
-def _releq_violation(actual: np.ndarray, expected: np.ndarray, tol: float) -> float:
-    """Signed violation of equality in the relative max-norm."""
+def _releq_violation(actual: np.ndarray, expected: np.ndarray) -> float:
+    """Distance of ``actual`` from ``expected`` in the relative max-norm."""
     denom = max(_absmax(actual), _absmax(expected))
     if denom == 0.0:
-        return -tol
-    return _absmax(actual - expected) / denom - tol
+        return 0.0
+    return _absmax(actual - expected) / denom
 
 
 def _sweep(name: str, spec: GenSpec, trials: int, tol: float,
            trial_fn: Callable[[GenSpec], float]) -> CheckReport:
-    # Every check runs here. A NaN or infinite tol would pass every trial,
-    # and a NaN violation fails its trial and is the worst one seen.
+    # Every check runs here, the one place tol is applied. A NaN or infinite
+    # tol would pass every trial; a NaN violation fails and is the worst seen.
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if not 0.0 <= tol < math.inf:
@@ -285,7 +287,7 @@ def _sweep(name: str, spec: GenSpec, trials: int, tol: float,
     for t in range(trials):
         sub = replace(spec, seed=_trial_seed(spec.seed, t))
         try:
-            v = trial_fn(sub)
+            v = trial_fn(sub) - tol
         except SpdMeansError as exc:
             # Same type and attributes; the message names the check and the
             # seed that reproduces this trial as trial 0.
@@ -327,19 +329,19 @@ def _check(kinds: Collection[MeanKind] | None) -> Callable:
     ``kinds`` sets the trial's first parameter, the head: none for ``None``,
     a ``kind`` gated by a tuple of kinds, or a map ``F`` of arity ``spec.k``
     for a dict ``kind -> auxiliary factory``, which the suite calls by kind.
-    The trial's parameters after ``tol`` are options, passed to every trial.
+    The trial's parameters after ``sub`` are options, passed to every trial.
     """
     def register(trial: Callable[..., float]) -> Callable[..., CheckReport]:
         name = trial.__name__.removeprefix("check_")
         params = list(inspect.signature(trial).parameters.values())
         head = ([] if kinds is None else params[:1] if isinstance(kinds, dict)
                 else [params[0].replace(annotation="MeanKind | str")])
-        signature = inspect.Signature(head + _SWEEP + params[len(head) + 2:],
+        signature = inspect.Signature(head + _SWEEP + params[len(head) + 1:],
                                       return_annotation="CheckReport")
 
         def sweep(label, lead, spec, trials, tol, *opts) -> CheckReport:
             return _sweep(label, spec, trials, tol,
-                          lambda sub: trial(*lead, sub, tol, *opts))
+                          lambda sub: trial(*lead, sub, *opts))
 
         @functools.wraps(trial)
         def check(*args, **kwargs) -> CheckReport:
@@ -369,7 +371,7 @@ def _check(kinds: Collection[MeanKind] | None) -> Callable:
 
 
 @_check(_ALL_KINDS)
-def check_monotone(kind: MeanKind, sub: GenSpec, tol: float) -> float:
+def check_monotone(kind: MeanKind, sub: GenSpec) -> float:
     """Adding an SPD perturbation to every item never lowers the mean."""
     t = gen_tuple(sub)
     base = mean(kind, t).entries
@@ -377,22 +379,22 @@ def check_monotone(kind: MeanKind, sub: GenSpec, tol: float) -> float:
                       [f"pert{i}" for i in range(len(t))])
     scale = 0.1 * np.abs(t.stack).max(axis=(1, 2))
     bumped = certify(t.stack + scale[:, None, None] * pert)
-    return _loewner_violation(base, mean(kind, bumped).entries, tol)
+    return _loewner_violation(base, mean(kind, bumped).entries)
 
 
 @_check(_ALL_KINDS)
-def check_concavity(kind: MeanKind, sub: GenSpec, tol: float) -> float:
+def check_concavity(kind: MeanKind, sub: GenSpec) -> float:
     """Means are jointly concave: mixing tuples beats mixing results."""
     ta = gen_tuple(sub)
     tb = _gen_items(sub, "second")
     lam = float(_stream(sub.seed, "lambda").uniform(0.0, 1.0))
     combo = lam * mean(kind, ta).entries + (1.0 - lam) * mean(kind, tb).entries
     mixed = certify(lam * ta.stack + (1.0 - lam) * tb.stack)
-    return _loewner_violation(combo, mean(kind, mixed).entries, tol)
+    return _loewner_violation(combo, mean(kind, mixed).entries)
 
 
 @_check(_ALL_KINDS)
-def check_congruence(kind: MeanKind, sub: GenSpec, tol: float) -> float:
+def check_congruence(kind: MeanKind, sub: GenSpec) -> float:
     """Invariance under congruence by an invertible matrix."""
     t = gen_tuple(sub)
     rng = _stream(sub.seed, "congr")
@@ -408,11 +410,11 @@ def check_congruence(kind: MeanKind, sub: GenSpec, tol: float) -> float:
             break
     m0 = mean(kind, t).entries
     conj = certify(congruence_arr(c, t.stack))
-    return _releq_violation(mean(kind, conj).entries, congruence_arr(c, m0), tol)
+    return _releq_violation(mean(kind, conj).entries, congruence_arr(c, m0))
 
 
 @_check(_ALL_KINDS)
-def check_self_dual(kind: MeanKind, sub: GenSpec, tol: float) -> float:
+def check_self_dual(kind: MeanKind, sub: GenSpec) -> float:
     """Duality under inversion.
 
     Geometric kinds are self-dual: ``M(A^-1) = M(A)^-1``. Arithmetic and
@@ -422,11 +424,11 @@ def check_self_dual(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     t = gen_tuple(sub)
     lhs = mean(kind, certify(inv_arr(t.stack)))
     rhs = inverse(mean(_DUAL.get(kind, kind), t))
-    return _releq_violation(lhs.entries, rhs.entries, tol)
+    return _releq_violation(lhs.entries, rhs.entries)
 
 
 @_check(_GEOMETRIC)
-def check_determinant(kind: MeanKind, sub: GenSpec, tol: float) -> float:
+def check_determinant(kind: MeanKind, sub: GenSpec) -> float:
     """Geometric means multiply determinants: det M = (prod det A_i)^(1/k).
 
     Compared in log space through the eigenvalues, so large dimensions do
@@ -435,20 +437,20 @@ def check_determinant(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     t = gen_tuple(sub)
     ld_target = float(np.log(eigvalsh(t.stack)).sum()) / len(t)
     ld_actual = float(np.log(eigvalsh(mean(kind, t).entries)).sum())
-    return abs(math.expm1(ld_actual - ld_target)) - tol
+    return abs(math.expm1(ld_actual - ld_target))
 
 
 @_check(_GEOMETRIC)
-def check_hga(kind: MeanKind, sub: GenSpec, tol: float) -> float:
+def check_hga(kind: MeanKind, sub: GenSpec) -> float:
     """Harmonic <= geometric <= arithmetic, in the Loewner order."""
     t = gen_tuple(sub)
     g = mean(kind, t).entries
-    return max(_loewner_violation(harmonic_mean(t).entries, g, tol),
-               _loewner_violation(g, arithmetic_mean(t).entries, tol))
+    return max(_loewner_violation(harmonic_mean(t).entries, g),
+               _loewner_violation(g, arithmetic_mean(t).entries))
 
 
 @_check(tuple(_AUXILIARY))
-def check_updating(kind: MeanKind, sub: GenSpec, tol: float) -> float:
+def check_updating(kind: MeanKind, sub: GenSpec) -> float:
     """Appending the identity contracts to the previous mean.
 
     Inductive: ``G_{k+1}(A_1..A_k, I) = G_k(A_1..A_k)^(k/(k+1))``.
@@ -459,11 +461,11 @@ def check_updating(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     t = gen_tuple(sub)
     ext = certify(np.concatenate([t.stack, np.eye(sub.dim)[None]]))
     rhs = _AUXILIARY[kind](sub.k).fn(t)
-    return _releq_violation(mean(kind, ext).entries, rhs.entries, tol)
+    return _releq_violation(mean(kind, ext).entries, rhs.entries)
 
 
 @_check(_ALL_KINDS)
-def check_block_regularity(kind: MeanKind, sub: GenSpec, tol: float,
+def check_block_regularity(kind: MeanKind, sub: GenSpec,
                            block_sizes: tuple[int, int] | None = None) -> float:
     """Means act blockwise on block-diagonal tuples.
 
@@ -474,7 +476,7 @@ def check_block_regularity(kind: MeanKind, sub: GenSpec, tol: float,
         raise ValueError(f"block sizes {d1}+{d2} do not partition dim {sub.dim}")
     xs, ys, full = _block_parts(sub, d1, d2)
     oracle = _assemble_block(mean(kind, xs).entries, mean(kind, ys).entries)
-    return _releq_violation(mean(kind, full).entries, oracle, tol)
+    return _releq_violation(mean(kind, full).entries, oracle)
 
 
 def _contraction(sub: GenSpec) -> np.ndarray:
@@ -485,7 +487,7 @@ def _contraction(sub: GenSpec) -> np.ndarray:
 
 
 @_check(_AUXILIARY)
-def check_jensen_contraction(F: RegularMap, sub: GenSpec, tol: float) -> float:
+def check_jensen_contraction(F: RegularMap, sub: GenSpec) -> float:
     """Jensen inequality for a concave map under a contraction.
 
     For ``C`` with top singular value 0.9:
@@ -495,11 +497,11 @@ def check_jensen_contraction(F: RegularMap, sub: GenSpec, tol: float) -> float:
     c = _contraction(sub)
     lhs = congruence_arr(c, F.fn(t).entries)
     conj = certify(congruence_arr(c, t.stack))
-    return _loewner_violation(lhs, F.fn(conj).entries, tol)
+    return _loewner_violation(lhs, F.fn(conj).entries)
 
 
 @_check(_AUXILIARY)
-def check_jensen_pair(F: RegularMap, sub: GenSpec, tol: float) -> float:
+def check_jensen_pair(F: RegularMap, sub: GenSpec) -> float:
     """Two-term Jensen inequality with ``X = C`` and ``Y = (I - C^T C)^1/2``.
 
     ``X^T X + Y^T Y = I`` exactly in this construction, and concavity gives
@@ -512,11 +514,11 @@ def check_jensen_pair(F: RegularMap, sub: GenSpec, tol: float) -> float:
     lhs = (congruence_arr(x, F.fn(ta).entries)
            + congruence_arr(y, F.fn(tb).entries))
     combo = certify(congruence_arr(x, ta.stack) + congruence_arr(y, tb.stack))
-    return _loewner_violation(lhs, F.fn(combo).entries, tol)
+    return _loewner_violation(lhs, F.fn(combo).entries)
 
 
 @_check(_ALL_KINDS)
-def check_commuting(kind: MeanKind, sub: GenSpec, tol: float) -> float:
+def check_commuting(kind: MeanKind, sub: GenSpec) -> float:
     """On commuting tuples every mean reduces to its scalar counterpart.
 
     Items share an eigenbasis; the oracle applies the scalar mean to each
@@ -525,7 +527,7 @@ def check_commuting(kind: MeanKind, sub: GenSpec, tol: float) -> float:
     q, lams, items = _commuting_parts(sub)
     m = mean(kind, items).entries
     oracle = rebuild(q, scalar_mean(kind, lams))
-    return _releq_violation(m, oracle, tol)
+    return _releq_violation(m, oracle)
 
 
 def scalar_mean(kind: MeanKind | str, rows: np.ndarray) -> np.ndarray:
@@ -539,23 +541,23 @@ def scalar_mean(kind: MeanKind | str, rows: np.ndarray) -> np.ndarray:
 
 
 @_check(None)
-def check_two_var(sub: GenSpec, tol: float) -> float:
+def check_two_var(sub: GenSpec) -> float:
     """All geometric kinds agree with the closed form at k = 2."""
     pair = _gen_items(replace(sub, k=2))
     closed = weighted_geometric_2(pair[0], pair[1], 0.5).entries
-    return max(_releq_violation(geo(pair).entries, closed, tol)
+    return max(_releq_violation(geo(pair).entries, closed)
                for geo in (inductive_mean, variant_mean, karcher_mean))
 
 
 @_check(None)
-def check_karcher_residual(sub: GenSpec, tol: float) -> float:
+def check_karcher_residual(sub: GenSpec) -> float:
     """The Karcher solution's log-sum residual is numerically zero."""
     t = gen_tuple(sub)
     try:
         x = karcher_mean(t)
     except ConvergenceError as exc:
-        return exc.residual_norm - tol
-    return float(np.linalg.norm(karcher_residual(x, t).entries)) - tol
+        return exc.residual_norm
+    return float(np.linalg.norm(karcher_residual(x, t).entries))
 
 
 # ---------------------------------------------------------------------------

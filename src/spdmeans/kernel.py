@@ -116,18 +116,18 @@ def expect(what: str, cls: type, *values) -> None:
                             f"got {type(value).__name__}")
 
 
-def _square_float_array(values, name: str = "matrix") -> np.ndarray:
+def _square_float_array(values) -> np.ndarray:
     # The input gate of every array-like argument: square, nonempty, finite.
     try:
         a = np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ShapeError(f"{name} is not a numeric grid: {exc}") from exc
+        raise ShapeError(f"matrix is not a numeric grid: {exc}") from exc
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {a.shape}")
+        raise ShapeError(f"matrix must be square, got shape {a.shape}")
     if a.shape[0] == 0:
-        raise ShapeError(f"{name} must have positive dimension")
+        raise ShapeError("matrix must have positive dimension")
     if not np.isfinite(a).all():
-        raise DomainError(f"{name} entries must be finite")
+        raise DomainError("matrix entries must be finite")
     return a
 
 

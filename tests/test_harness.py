@@ -377,6 +377,26 @@ def test_public_checks_bind_like_their_signatures():
         check_two_var(spec, kind="variant")
 
 
+@pytest.mark.parametrize("name", list(SIGNATURES))
+def test_trials_take_no_tolerance(name):
+    # the trial returns its metric; only the sweep knows tol
+    check = getattr(harness, name)
+    assert "tol" in inspect.signature(check).parameters
+    assert "tol" not in inspect.signature(check.__wrapped__).parameters
+
+
+def test_tolerance_is_subtracted_exactly_once():
+    # rounded subtraction is monotone, so the worst trial minus 1e-8 is
+    # bit for bit the worst of the trials minus 1e-8
+    spec = GenSpec(dim=3, k=3, seed=5)
+    loose = run_suite(CHECK_NAMES, spec, trials=3, tol=0.0)
+    tight = run_suite(CHECK_NAMES, spec, trials=3, tol=1e-8)
+    assert [r.check_name for r in loose] == [r.check_name for r in tight]
+    for a, b in zip(loose, tight):
+        both_nan = math.isnan(a.worst_violation) and math.isnan(b.worst_violation)
+        assert both_nan or b.worst_violation == a.worst_violation - 1e-8, (a, b)
+
+
 def test_block_regularity_custom_sizes():
     spec = GenSpec(dim=4, k=2, seed=10)
     rep = check_block_regularity("variant", spec, trials=4, tol=1e-8,

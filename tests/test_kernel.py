@@ -182,14 +182,14 @@ def test_loewner_order_basic():
     a = random_spd(rng, 4)
     p = random_spd(rng, 4)
     bigger = a.entries + p.entries
-    # a violation at or below zero means the order holds
-    assert _loewner_violation(a.entries, bigger, 1e-10) <= 0
-    assert _loewner_violation(bigger, a.entries, 1e-10) > 0
-    assert _loewner_violation(a.entries, a.entries, 0.0) <= 0  # reflexive
+    # a gap at or below the tolerance means the order holds
+    assert _loewner_violation(a.entries, bigger) <= 1e-10
+    assert _loewner_violation(bigger, a.entries) > 1e-10
+    assert _loewner_violation(a.entries, a.entries) <= 0.0  # reflexive
     # the verdict does not depend on scale: a reversed order fails when tiny
     eye = np.eye(3)
-    assert _loewner_violation(2e-150 * eye, 1e-150 * eye, 1e-8) > 0
-    assert _loewner_violation(1e-150 * eye, 2e-150 * eye, 1e-8) <= 0
+    assert _loewner_violation(2e-150 * eye, 1e-150 * eye) > 1e-8
+    assert _loewner_violation(1e-150 * eye, 2e-150 * eye) <= 1e-8
 
 
 def test_loewner_transitive_on_chain():
@@ -198,9 +198,9 @@ def test_loewner_transitive_on_chain():
     a = random_spd(rng, 5)
     b = a.entries + random_spd(rng, 5).entries
     c = b + random_spd(rng, 5).entries
-    assert _loewner_violation(a.entries, b, tol) <= 0
-    assert _loewner_violation(b, c, tol) <= 0
-    assert _loewner_violation(a.entries, c, 2 * tol) <= 0
+    assert _loewner_violation(a.entries, b) <= tol
+    assert _loewner_violation(b, c) <= tol
+    assert _loewner_violation(a.entries, c) <= 2 * tol
 
 
 def test_is_spd_gram_and_rejections():

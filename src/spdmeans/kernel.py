@@ -137,7 +137,8 @@ class SymMatrix:
     Construction accepts anything convertible to a square float array whose
     asymmetry is within round-off (``SYMMETRY_RTOL`` relative, max-norm) and
     stores it exactly symmetric: as given when it already is, else as
-    ``M / 2 + M.T / 2``, finite for finite ``M``. Larger asymmetry is an
+    ``M / 2 + M.T / 2`` by :func:`sym_part`, the package's one
+    symmetrization, finite for finite ``M``. Larger asymmetry is an
     input error. A ``SymMatrix`` argument, an ``SpdMatrix`` included,
     shares its entries. Entries are read-only after construction.
     """
@@ -159,9 +160,8 @@ class SymMatrix:
                 f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|entry|"
                 f" = {SYMMETRY_RTOL * scale:.3e}"
             )
-        if asym:  # halved first, unlike sym_part, so finite stays finite
-            h = a * 0.5
-            a = h + h.T
+        if asym:
+            a = sym_part(a)
         a.setflags(write=False)
         self.entries = a
 
@@ -257,8 +257,14 @@ def _held(stack: np.ndarray, witnesses: list[float]) -> SpdTuple:
 # ---------------------------------------------------------------------------
 
 def sym_part(a: np.ndarray) -> np.ndarray:
-    """``(a + a^T) / 2`` over the last two axes; exactly symmetric in IEEE."""
-    return (a + a.swapaxes(-1, -2)) * 0.5
+    """``a/2 + a^T/2`` over the last two axes; exactly symmetric in IEEE.
+
+    Halved first, so a finite ``a`` gives a finite result. The halving is
+    done in place: ``a`` is consumed, and every caller passes an array made
+    for the call.
+    """
+    a *= 0.5
+    return a + a.swapaxes(-1, -2)
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +288,7 @@ def eigh_pd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = eigh(a)
     # one matrix: index, since a reduction call costs ~1 us at harness sizes
     lowest = w[..., 0].min() if w.ndim > 1 else w[0]
-    if lowest <= 0.0:
+    if not lowest > 0.0:  # "not above", so a NaN spectrum fails too
         raise NotPositiveDefiniteError(
             f"matrix lost positive definiteness: eigenvalue {lowest:.3e}"
         )
@@ -436,8 +442,8 @@ def log_m(A: SpdMatrix) -> SymMatrix:
 def exp_m(S: SymMatrix) -> SpdMatrix:
     """SPD matrix exponential of a symmetric matrix; overflow is a ``DomainError``."""
     expect("exp_m", SymMatrix, S)
-    # exp(w), or a + a^T in the rebuild, may overflow; certify's finiteness
-    # check turns that into the DomainError
+    # exp(w) may overflow, and inf * 0 in the rebuild is NaN; certify's
+    # finiteness check turns either into the DomainError
     with np.errstate(over="ignore", invalid="ignore"):
         a = exp_arr(S.entries)
     return certify(a[None])[0]

@@ -95,6 +95,20 @@ def test_parse_rejects_malformed_input():
     with pytest.raises(InputError):
         parse_matrix_text(
             '{"dim": 1, "matrices": [[[1.0]]], "labels": ["a", "b"]}', "json")
+    for text, fmt, message in [
+        ('{"dim": 0, "matrices": [[[1.0]]]}', "json",
+         "dim must be a positive integer, got 0"),
+        ('{"dim": true, "matrices": [[[1.0]]]}', "json",
+         "dim must be a positive integer, got True"),
+        ('{"dim": 1, "matrices": []}', "json", "file contains no matrices"),
+        ("dim,x\n1.0\n", "csv", "bad CSV header 'dim,x'"),
+        ("dim,1\n1.0\n", "yaml", "unknown format 'yaml'"),
+    ]:
+        with pytest.raises(InputError) as err:
+            parse_matrix_text(text, fmt)
+        assert str(err.value) == message
+    with pytest.raises(InputError, match="^unknown format 'yaml'$"):
+        render_matrix_file(MatrixFile(dim=1, matrices=[np.eye(1)]), "yaml")
 
 
 # -- gen -----------------------------------------------------------------------

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from spdmeans import (CHECK_NAMES, ConvergenceError, GenSpec, MeanKind, gen_spd,
-                      gen_tuple, run_suite)
+from spdmeans import (CHECK_NAMES, ConvergenceError, GenSpec, MeanKind, SolverConfig,
+                      gen_spd, gen_tuple, karcher_mean, run_suite)
 from spdmeans import harness
 from spdmeans.harness import (
     STRUCTURES,
@@ -434,6 +434,19 @@ def test_monotone_and_self_dual_karcher():
     spec = GenSpec(dim=3, k=3, seed=22)
     assert check_monotone("karcher", spec, trials=3).passed
     assert check_self_dual("karcher", spec, trials=3).passed
+
+
+def test_karcher_residual_check_scores_a_failed_solve(monkeypatch):
+    # a solve that raises ConvergenceError scores its best residual
+    spec = GenSpec(dim=4, k=4, seed=23)
+    capped = SolverConfig(max_iter=1)
+    with pytest.raises(ConvergenceError) as err:
+        karcher_mean(gen_tuple(dataclasses.replace(spec, seed=_trial_seed(23, 0))),
+                     capped)
+    monkeypatch.setattr(harness, "karcher_mean", lambda t: karcher_mean(t, capped))
+    rep = check_karcher_residual(spec, trials=1, tol=1e-8)
+    assert (rep.failures, rep.witness_seed) == (1, spec.seed)
+    assert rep.worst_violation == err.value.residual_norm - 1e-8
 
 
 def test_karcher_residual_check():

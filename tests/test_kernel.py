@@ -16,18 +16,22 @@ from spdmeans import (
     congruence,
     default_spd_tol,
     exp_m,
+    harmonic_mean,
+    inductive_mean,
     inv_sqrt,
     inverse,
     log_m,
     power,
     spectral_apply,
     sqrt,
+    variant_mean,
+    weighted_geometric_2,
 )
 
 from spdmeans import kernel
 from spdmeans.harness import _loewner_violation
-from spdmeans.kernel import (certify, chol_pair, eigh, exp_arr, inv_arr, log_arr,
-                             power_arr, sqrt_pair)
+from spdmeans.kernel import (certify, chol_pair, eigh, eigh_pd, eigvalsh, exp_arr,
+                             inv_arr, log_arr, power_arr, sqrt_pair)
 
 from helpers import random_spd, rel_err
 
@@ -145,11 +149,39 @@ def test_exp_m_overflow_is_a_domain_error():
     # check comes first, so the error is typed, not a PD failure at an
     # infinite floor; numpy's overflow warnings are not emitted either
     warnings.simplefilter("error")
-    # at 709.5, exp(w) is finite but the rebuild's a + a^T overflows
-    for s in ([[1.0, 800.0], [800.0, 1.0]], np.diag([800.0, 1.0]),
-              np.diag([709.5, 1.0])):
+    for s in ([[1.0, 800.0], [800.0, 1.0]], np.diag([800.0, 1.0])):
         with pytest.raises(DomainError):
             exp_m(SymMatrix(s))
+    # at 709.5, exp(w) = 1.355e308 is finite and the rebuild keeps it so;
+    # the condition number e^708.5 puts e^1 under the floor
+    with pytest.raises(NotPositiveDefiniteError, match="not above tolerance"):
+        exp_m(SymMatrix(np.diag([709.5, 1.0])))
+    # a finite result near the float64 limit is returned and certified
+    out = exp_m(SymMatrix(np.diag([709.5, 700.0])))
+    assert np.array_equal(out.entries, np.diag(np.exp([709.5, 700.0])))
+    assert math.isclose(out.min_eig_witness, math.exp(700.0), rel_tol=1e-15)
+
+
+def test_finite_results_near_the_float64_limit_stay_finite():
+    # halving before adding: the symmetrization of a result with entries
+    # above 9e307 must not overflow into "entries must be finite"
+    warnings.simplefilter("error")
+    a_d, b_d = np.array([1.5e308, 1e297]), np.array([1.2e308, 2e297])
+    a, b = SpdMatrix(np.diag(a_d)), SpdMatrix(np.diag(b_d))
+    t = SpdTuple([a, b])
+    geo = np.sqrt(a_d) * np.sqrt(b_d)
+    for op, expected in [
+        (lambda: congruence(np.eye(2), a), a_d),
+        (lambda: power(a, 1.0), a_d),
+        (lambda: weighted_geometric_2(a, b, 0.5), geo),
+        (lambda: inductive_mean(t), geo),
+        (lambda: variant_mean(t), geo),
+        (lambda: harmonic_mean(t), 2.0 / (1.0 / a_d + 1.0 / b_d)),
+    ]:
+        out = op().entries
+        assert np.isfinite(out).all()
+        assert np.array_equal(out, np.diag(out.diagonal()))
+        assert np.allclose(out.diagonal(), expected, rtol=1e-14, atol=0.0)
 
 
 def test_congruence_values_and_shape_check():
@@ -393,6 +425,28 @@ def test_core_rejects_stack_with_one_non_pd_member():
                       1e-6 * np.diag([1.0, 1e-13])])
     with pytest.raises(NotPositiveDefiniteError, match="^matrix 2: "):
         certify(mixed)
+
+
+def test_a_nan_spectrum_is_not_positive_definite():
+    # LAPACK returns [nan, nan] for an infinite entry, with no error and no
+    # warning; "not above 0" fails it where "<= 0" would let it through
+    bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    assert np.isnan(np.linalg.eigh(bad)[0]).all()
+    for a in (bad, np.stack([np.eye(2), bad])):
+        for core in (eigh_pd, sqrt_pair):
+            with pytest.raises(NotPositiveDefiniteError, match="eigenvalue nan"):
+                core(a)
+
+
+def test_eigensolver_failure_is_an_eigen_solver_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    for core in (eigh, eigvalsh, eigh_pd, lambda a: SpdMatrix(a)):
+        with pytest.raises(EigenSolverError, match="did not converge"):
+            core(np.eye(2))
 
 
 def test_inv_arr_names_a_singular_member_as_not_positive_definite():

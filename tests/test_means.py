@@ -31,7 +31,8 @@ import spdmeans
 import spdmeans.cli  # noqa: F401  (the tracer patches the CLI layer too)
 from spdmeans import means
 from spdmeans.harness import GenSpec, gen_tuple
-from spdmeans.kernel import SymMatrix, congruence, exp_arr, exp_m, inv_sqrt, log_m, sqrt
+from spdmeans.kernel import (NotPositiveDefiniteError, SymMatrix, congruence, exp_arr,
+                             exp_m, inv_sqrt, log_m, sqrt)
 from spdmeans.means import _karcher_jacobian, _karcher_state
 
 from helpers import random_orthogonal, random_spd, rel_err
@@ -413,6 +414,55 @@ def test_karcher_solve_cost(monkeypatch):
         calls.clear()
         karcher_mean(gen_tuple(spec))
         assert len(calls) == cost, spec
+
+
+def test_karcher_max_iter_counts_updates():
+    # this tuple meets the tolerance on its third update: max_iter=3 returns
+    # the mean, max_iter=2 stops one update short of it
+    rng = np.random.default_rng([5, 4, 3])
+    t = SpdTuple([random_spd(rng, 4) for _ in range(3)])
+    x = karcher_mean(t, SolverConfig(max_iter=3))
+    assert np.linalg.norm(karcher_residual(x, t).entries) <= 1e-10
+    with pytest.raises(ConvergenceError) as err:
+        karcher_mean(t, SolverConfig(max_iter=2))
+    assert err.value.iterations == 2
+    assert 1e-10 < err.value.residual_norm < 1e-6
+
+
+def test_karcher_newton_trial_that_raises_falls_back(monkeypatch):
+    # a Newton trial whose state cannot be computed is rejected like one
+    # that does not lower the residual: the Bini-Iannazzo step follows
+    events, calls = [], []
+    newton_step = means._newton_step
+
+    def step(*args):
+        events.append("newton")
+        return newton_step(*args)
+
+    def state(x, stack):
+        calls.append(x)
+        if len(calls) == 2:  # the first Newton trial
+            events.append("raise")
+            raise NotPositiveDefiniteError("trial state failed")
+        events.append("state")
+        return _karcher_state(x, stack)
+
+    rng = np.random.default_rng(46)
+    t = SpdTuple([random_spd(rng, 4) for _ in range(3)])
+    plain = karcher_mean(t)
+    monkeypatch.setattr(means, "_newton_step", step)
+    monkeypatch.setattr(means, "_karcher_state", state)
+    x = karcher_mean(t)
+    assert events[:4] == ["state", "newton", "raise", "state"]
+    assert np.linalg.norm(karcher_residual(x, t).entries) <= 1e-10
+    assert rel_err(x.entries, plain.entries) < 1e-9
+
+
+def test_karcher_residual_dimension_mismatch():
+    rng = np.random.default_rng(47)
+    t = SpdTuple([random_spd(rng, 3) for _ in range(2)])
+    with pytest.raises(ShapeError, match="dimension mismatch: 2 != 3"):
+        karcher_residual(random_spd(rng, 2), t)
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e6])

@@ -13,13 +13,17 @@ whole stack where the function needs it), then ``f(A) = V f(w) V^T``
 rebuilt by matmul, exactly symmetric. Powers, logs, exponentials,
 square-root pairs and congruences are built on it, and the public functions
 wrap the value types around it, behind one type gate, :func:`expect`. The
-core also holds the one Cholesky primitive, :func:`chol_pair`, for
-congruences that need some factor ``A = L L^T`` rather than the symmetric
-root, and the one inverse, :func:`inv_arr`: one LU solve per member,
-exactly symmetrized, about a quarter of an eigendecomposition's cost with
-the same ``cond * eps`` forward error. The positive-definiteness
-rule is written once, over a stack, with one floor: one stacked eigenvalue
-solve, each member's smallest eigenvalue above its :func:`default_spd_tol`.
+core also holds the package's other factorizations, one primitive each:
+the one Cholesky factorization, :func:`chol_pair`, for congruences that
+need some factor ``A = L L^T`` rather than the symmetric root; the one
+inverse, :func:`inv_arr`, one LU solve per member, exactly symmetrized,
+about a quarter of an eigendecomposition's cost with the same
+``cond * eps`` forward error; and the one QR, :func:`haar_arr`, behind the
+harness's Haar bases. So this module is the package's one LAPACK
+boundary: no other module uses ``numpy.linalg`` but for ``norm``. The
+positive-definiteness rule is written once, over a stack, with one floor:
+one stacked eigenvalue solve, each member's smallest eigenvalue above its
+:func:`default_spd_tol`.
 ``SpdMatrix`` applies it to one matrix and :func:`certify` to a freshly
 computed stack, returning that stack's ``SpdTuple`` with no copy. ``_held``,
 the only caller of ``__new__``, builds every tuple and its items; every
@@ -353,6 +357,14 @@ def inv_arr(a: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(
             f"matrix lost positive definiteness: inverse failed: {exc}"
         ) from exc
+
+
+def haar_arr(normals: np.ndarray) -> np.ndarray:
+    """Haar orthogonal matrices from standard normal squares: one QR over the
+    stack, each Q column's sign set so that R's diagonal is nonnegative."""
+    q, r = np.linalg.qr(normals)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(d >= 0.0, 1.0, -1.0)[..., None, :]
 
 
 def congruence_arr(c: np.ndarray, a: np.ndarray) -> np.ndarray:

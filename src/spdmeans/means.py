@@ -198,7 +198,16 @@ def _variant_arr(stack: np.ndarray) -> np.ndarray:
 
 
 def _arithmetic_arr(stack: np.ndarray) -> np.ndarray:
-    return stack.sum(axis=0) / len(stack)
+    # Summed, then divided by k. Where the sum overflows though the average
+    # is finite, the items are first scaled by 2^-m with 2^m >= k, exact in
+    # the normal range, so the result is finite wherever the mean is.
+    k = len(stack)
+    with np.errstate(over="ignore"):
+        total = stack.sum(axis=0)
+    if np.isfinite(total).all():
+        return total / k
+    scale = 2.0 ** -(k - 1).bit_length()
+    return (stack * scale).sum(axis=0) / (k * scale)
 
 
 def _harmonic_arr(stack: np.ndarray) -> np.ndarray:
@@ -352,7 +361,9 @@ def weighted_geometric_2(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
     the operand itself. Evaluated as ``L (L^-1 B L^-T)^t L^T`` with
     ``A = L L^T``, which is the same matrix since the power commutes with
     the rotation ``Q = A^-1/2 L``: one Cholesky factorization, one inverse
-    of that factor and one eigendecomposition.
+    of that factor and one eigendecomposition. Against a 50-digit reference
+    its relative max-norm error stays within ``32 * kappa * eps``, ``kappa``
+    the condition number of ``A^-1/2 B A^-1/2`` (``tests/test_oracle.py``).
     """
     expect("weighted_geometric_2", SpdMatrix, A, B)
     if A.dim != B.dim:
@@ -399,7 +410,11 @@ def inductive_mean(t: SpdTuple) -> SpdMatrix:
     and that fold is how the mean is computed, on a factor ``G_j = F F^T``
     that each step's eigendecomposition updates: one Cholesky factorization
     of ``A_1``, one inverse of that factor and one eigendecomposition per
-    item after the first, O(k) in all.
+    item after the first, O(k) in all. Against a 50-digit reference its
+    relative max-norm error stays within ``32 * kappa * eps``, ``kappa`` the
+    largest condition number of ``G_{j-1}^-1/2 A_j G_{j-1}^-1/2`` over the
+    fold's steps, which can reach the square of the items' condition
+    number (``tests/test_oracle.py``).
     """
     return _mean(_inductive_arr, t)
 
@@ -421,7 +436,10 @@ def variant_mean(t: SpdTuple) -> SpdMatrix:
     level factors multiply into one. So the mean costs k(k-1)/2
     eigendecompositions plus one Cholesky factorization and one inverse,
     O(k^2): at dim 3, k 200 that is 19900 eigendecompositions, against 199
-    for the inductive mean.
+    for the inductive mean. Against a 50-digit reference its relative
+    max-norm error stays within ``32 * kappa * eps``, ``kappa`` the largest
+    condition number of a congruence that a level raises to its power
+    (``tests/test_oracle.py``).
     """
     return _mean(_variant_arr, t)
 
@@ -471,6 +489,12 @@ def karcher_mean(t: SpdTuple, cfg: SolverConfig | None = None) -> SpdMatrix:
     lower it. From that first rejection on, Newton steps are halved.
     Raises :class:`ConvergenceError` if ``cfg.max_iter`` updates do not
     bring the Frobenius norm of the residual under ``cfg.residual_tol``.
+
+    The objective is geodesically k-strongly convex, so against a 50-digit
+    reference ``X*`` the returned ``X`` stays within the Riemannian distance
+    ``d = ||log(X^-1/2 X* X^-1/2)||_F <= ||S(X)||_F / k + cond * eps``,
+    ``S(X)`` its :func:`karcher_residual` and ``cond`` a bound on the items'
+    condition numbers (``tests/test_oracle.py``).
     """
     return _mean(_karcher_arr, t, SolverConfig() if cfg is None else cfg)
 

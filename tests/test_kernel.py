@@ -13,6 +13,7 @@ from spdmeans import (
     SpdTuple,
     SymMatrix,
     SymmetryError,
+    arithmetic_mean,
     congruence,
     default_spd_tol,
     exp_m,
@@ -20,6 +21,7 @@ from spdmeans import (
     inductive_mean,
     inv_sqrt,
     inverse,
+    karcher_mean,
     log_m,
     power,
     spectral_apply,
@@ -31,7 +33,7 @@ from spdmeans import (
 from spdmeans import kernel
 from spdmeans.harness import _loewner_violation
 from spdmeans.kernel import (certify, chol_pair, eigh, eigh_pd, eigvalsh, exp_arr,
-                             inv_arr, log_arr, power_arr, sqrt_pair)
+                             haar_arr, inv_arr, log_arr, power_arr, sqrt_pair)
 
 from helpers import random_spd, rel_err
 
@@ -164,24 +166,29 @@ def test_exp_m_overflow_is_a_domain_error():
 
 def test_finite_results_near_the_float64_limit_stay_finite():
     # halving before adding: the symmetrization of a result with entries
-    # above 9e307 must not overflow into "entries must be finite"
+    # above 9e307 must not overflow into "entries must be finite"; nor may
+    # the sum of the items (the arithmetic mean, the Karcher start) or of
+    # their inverses (the harmonic mean, for the tiny pair)
     warnings.simplefilter("error")
-    a_d, b_d = np.array([1.5e308, 1e297]), np.array([1.2e308, 2e297])
-    a, b = SpdMatrix(np.diag(a_d)), SpdMatrix(np.diag(b_d))
-    t = SpdTuple([a, b])
-    geo = np.sqrt(a_d) * np.sqrt(b_d)
-    for op, expected in [
-        (lambda: congruence(np.eye(2), a), a_d),
-        (lambda: power(a, 1.0), a_d),
-        (lambda: weighted_geometric_2(a, b, 0.5), geo),
-        (lambda: inductive_mean(t), geo),
-        (lambda: variant_mean(t), geo),
-        (lambda: harmonic_mean(t), 2.0 / (1.0 / a_d + 1.0 / b_d)),
-    ]:
-        out = op().entries
-        assert np.isfinite(out).all()
-        assert np.array_equal(out, np.diag(out.diagonal()))
-        assert np.allclose(out.diagonal(), expected, rtol=1e-14, atol=0.0)
+    for a_d, b_d in [(np.array([1.5e308, 1e297]), np.array([1.2e308, 2e297])),
+                     (np.array([8e-309, 1e-300]), np.array([1e-308, 2e-300]))]:
+        a, b = SpdMatrix(np.diag(a_d)), SpdMatrix(np.diag(b_d))
+        t = SpdTuple([a, b])
+        geo = np.sqrt(a_d) * np.sqrt(b_d)
+        for op, expected in [
+            (lambda: congruence(np.eye(2), a), a_d),
+            (lambda: power(a, 1.0), a_d),
+            (lambda: weighted_geometric_2(a, b, 0.5), geo),
+            (lambda: inductive_mean(t), geo),
+            (lambda: variant_mean(t), geo),
+            (lambda: karcher_mean(t), geo),
+            (lambda: arithmetic_mean(t), a_d / 2 + b_d / 2),
+            (lambda: harmonic_mean(t), 1.0 / (0.5 / a_d + 0.5 / b_d)),
+        ]:
+            out = op().entries
+            assert np.isfinite(out).all()
+            assert np.array_equal(out, np.diag(out.diagonal()))
+            assert np.allclose(out.diagonal(), expected, rtol=1e-14, atol=0.0)
 
 
 def test_congruence_values_and_shape_check():
@@ -407,6 +414,21 @@ def test_chol_pair_on_stacks_and_matrices():
         assert np.array_equal(l, np.tril(l))
         assert rel_err(l @ l.swapaxes(-1, -2), a) < 1e-13
         assert np.abs(li @ l - np.eye(5)).max() < 1e-12
+
+
+def test_haar_arr_is_the_qr_factor_with_a_nonnegative_r_diagonal():
+    g = np.random.default_rng(41).standard_normal((6, 8, 8))
+    q = haar_arr(g)
+    assert q.shape == g.shape
+    assert np.abs(q.swapaxes(-1, -2) @ q - np.eye(8)).max() <= 1e-14
+    # Q^T G is R: upper triangular, with the diagonal the sign rule sets
+    r = q.swapaxes(-1, -2) @ g
+    rounding = 1e-14 * np.abs(r).max()
+    assert np.abs(np.tril(r, -1)).max() <= rounding
+    assert (np.diagonal(r, axis1=-2, axis2=-1) >= -rounding).all()
+    # a stack is its members, bit for bit
+    for qi, gi in zip(q, g):
+        assert np.array_equal(qi, haar_arr(gi))
 
 
 def test_core_rejects_stack_with_one_non_pd_member():

@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import CHECK_NAMES, CheckReport, GenSpec, STRUCTURES, gen_tuple, iter_suite
-from .kernel import SpdMeansError, SymMatrix, certify
+from .harness import (CHECK_NAMES, DEFAULT_TOL, DEFAULT_TRIALS, CheckReport, GenSpec,
+                      STRUCTURES, gen_tuple, iter_suite)
+from .kernel import SpdMeansError, SymMatrix, certify, is_integer
 from .means import ConvergenceError, MeanKind, SolverConfig, mean
 
 __all__ = [
@@ -57,7 +58,7 @@ class InputError(SpdMeansError):
 
 
 def _validate_matrices(dim: int, grids: list, labels) -> MatrixFile:
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not is_integer(dim) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
     if not isinstance(grids, list):
         raise InputError(f"matrices must be a list, got {type(grids).__name__}")
@@ -163,9 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument("--input", required=True, help="matrix file to read")
     p_mean.add_argument("--output", default=None, help="write here instead of stdout")
     p_mean.add_argument("--format", default="json", choices=FORMATS)
-    p_mean.add_argument("--tol", type=float, default=1e-10,
+    p_mean.add_argument("--tol", type=float, default=SolverConfig.residual_tol,
                         help="Karcher residual tolerance")
-    p_mean.add_argument("--max-iter", type=int, default=500)
+    p_mean.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
 
     p_check = sub.add_parser("check", help="run randomized property checks")
     p_check.add_argument("--suite", default="all",
@@ -174,20 +175,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated mean kinds (default: all)")
     p_check.add_argument("--dim", type=int, default=3)
     p_check.add_argument("--k", type=int, default=3)
-    p_check.add_argument("--trials", type=int, default=100)
-    p_check.add_argument("--seed", type=int, default=42)
-    p_check.add_argument("--tol", type=float, default=1e-8)
-    p_check.add_argument("--cond", type=float, default=100.0)
-    p_check.add_argument("--structure", default="generic", choices=STRUCTURES)
+    p_check.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p_gen = sub.add_parser("gen", help="generate a deterministic SPD tuple file")
     p_gen.add_argument("--dim", type=int, required=True)
     p_gen.add_argument("--k", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=42)
-    p_gen.add_argument("--cond", type=float, default=100.0)
-    p_gen.add_argument("--structure", default="generic", choices=STRUCTURES)
     p_gen.add_argument("--output", default=None, help="write here instead of stdout")
     p_gen.add_argument("--format", default="json", choices=FORMATS)
+
+    for p in (p_check, p_gen):  # the GenSpec flags: the library's defaults but --seed
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--cond", type=float, default=GenSpec.cond_bound)
+        p.add_argument("--structure", default=GenSpec.structure, choices=STRUCTURES)
 
     return parser
 
@@ -206,6 +206,11 @@ def cmd_mean(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec(args: argparse.Namespace) -> GenSpec:
+    return GenSpec(dim=args.dim, k=args.k, seed=args.seed,
+                   cond_bound=args.cond, structure=args.structure)
+
+
 def _report_line(r: CheckReport) -> str:
     witness = "-" if r.witness_seed is None else str(r.witness_seed)
     return (f"{r.check_name} trials={r.trials} failures={r.failures} "
@@ -219,12 +224,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     kinds = None if args.kinds is None else [
         MeanKind(s.strip()) for s in args.kinds.split(",") if s.strip()
     ]
-    spec = GenSpec(dim=args.dim, k=args.k, seed=args.seed,
-                   cond_bound=args.cond, structure=args.structure)
     # each report as its check finishes, so a trial that raises keeps the
     # reports before it, also when stdout is a pipe
     reports: list[CheckReport] = []
-    for r in iter_suite(suite, spec, trials=args.trials, tol=args.tol,
+    for r in iter_suite(suite, _spec(args), trials=args.trials, tol=args.tol,
                         kinds=kinds):
         print(_report_line(r), flush=True)
         reports.append(r)
@@ -236,10 +239,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = GenSpec(dim=args.dim, k=args.k, seed=args.seed,
-                   cond_bound=args.cond, structure=args.structure)
-    t = gen_tuple(spec)
-    out = MatrixFile(dim=spec.dim, matrices=list(t.stack))
+    t = gen_tuple(_spec(args))
+    out = MatrixFile(dim=t.dim, matrices=list(t.stack))
     _write_output(render_matrix_file(out, args.format), args.output)
     return 0
 

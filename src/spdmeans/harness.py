@@ -29,8 +29,8 @@ A check is written once, as its trial ``check_<name>(head, sub, *opts)``,
 which returns the metric of one instance drawn from ``sub`` (a Loewner
 gap, relative distance, determinant misfit or residual norm); only the
 sweep subtracts ``tol``. ``@_check(kinds)`` makes it the public
-``check_<name>(head, spec, trials=100, tol=1e-8, *opts)`` and enters it
-in the suite. The head is one of:
+``check_<name>(head, spec, trials=DEFAULT_TRIALS, tol=DEFAULT_TOL, *opts)``
+and enters it in the suite. The head is one of:
 
 - none, for ``two_var`` and ``karcher_residual``, swept under ``<name>``;
 - a ``kind``, rejected with ``ValueError`` outside ``kinds`` and swept
@@ -40,7 +40,8 @@ in the suite. The head is one of:
   runs it on the auxiliary map of the inductive and variant means, under
   ``<name>[kind]``.
 
-A package error raised by a trial keeps its type and attributes, and its
+A public check raises ``TypeError`` unless ``spec`` is a :class:`GenSpec`
+and ``F`` a :class:`RegularMap`. A package error raised by a trial keeps its type and attributes, and its
 message names the report and the trial seed.
 """
 
@@ -56,7 +57,8 @@ from typing import Callable, Collection, Iterator, Sequence
 import numpy as np
 
 from .kernel import (SpdMatrix, SpdMeansError, SpdTuple, certify, congruence_arr,
-                     eigvalsh, haar_arr, inv_arr, inverse, power_arr, rebuild)
+                     eigvalsh, expect, haar_arr, inv_arr, inverse, is_integer,
+                     power_arr, rebuild)
 from .means import (ConvergenceError, MeanKind, RegularMap, arithmetic_mean,
                     harmonic_mean, inductive_auxiliary, inductive_mean,
                     karcher_mean, karcher_residual, mean, variant_auxiliary,
@@ -88,6 +90,10 @@ __all__ = [
 
 STRUCTURES = ("generic", "commuting", "block")
 
+# The sweep's defaults, of every check, the suite and the CLI.
+DEFAULT_TRIALS = 100
+DEFAULT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -109,8 +115,9 @@ class GenSpec:
     def __post_init__(self) -> None:
         for name in ("dim", "k", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (1 <= self.dim <= 64):
             raise ValueError("dim must be in [1, 64]")
         if self.k < 1:
@@ -227,11 +234,13 @@ def _block_parts(spec: GenSpec, d1: int, d2: int):
 
 def gen_spd(spec: GenSpec) -> SpdMatrix:
     """One certified SPD draw (the first element of a generic :func:`gen_tuple`)."""
+    expect("gen_spd", GenSpec, spec)
     return _gen_items(replace(spec, k=1))[0]
 
 
 def gen_tuple(spec: GenSpec) -> SpdTuple:
     """Draw a deterministic SPD tuple with the requested structure."""
+    expect("gen_tuple", GenSpec, spec)
     if spec.structure == "generic":
         return _gen_items(spec)
     if spec.structure == "commuting":
@@ -271,8 +280,9 @@ def _sweep(name: str, spec: GenSpec, trials: int, tol: float,
            trial_fn: Callable[[GenSpec], float]) -> CheckReport:
     # Every check runs here, the one place tol is applied. A NaN or infinite
     # tol would pass every trial; a NaN violation fails and is the worst seen.
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+    if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    trials = int(trials)
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     worst = -math.inf
@@ -313,8 +323,8 @@ _REGISTRY: dict[str, tuple[Callable, Collection[MeanKind] | None]] = {}
 
 _ARG = inspect.Parameter.POSITIONAL_OR_KEYWORD
 _SWEEP = [inspect.Parameter("spec", _ARG, annotation="GenSpec"),
-          inspect.Parameter("trials", _ARG, default=100, annotation="int"),
-          inspect.Parameter("tol", _ARG, default=1e-8, annotation="float")]
+          inspect.Parameter("trials", _ARG, default=DEFAULT_TRIALS, annotation="int"),
+          inspect.Parameter("tol", _ARG, default=DEFAULT_TOL, annotation="float")]
 
 
 def _check(kinds: Collection[MeanKind] | None) -> Callable:
@@ -342,10 +352,13 @@ def _check(kinds: Collection[MeanKind] | None) -> Callable:
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
             lead, (spec, *rest) = bound.args[:len(head)], bound.args[len(head):]
+            expect(trial.__name__, GenSpec, spec)
             if not isinstance(kinds, tuple):
-                if lead and lead[0].arity != spec.k:
-                    raise ValueError(f"map arity {lead[0].arity} does not "
-                                     f"match spec.k {spec.k}")
+                if lead:
+                    expect(trial.__name__, RegularMap, lead[0])
+                    if lead[0].arity != spec.k:
+                        raise ValueError(f"map arity {lead[0].arity} does not "
+                                         f"match spec.k {spec.k}")
                 return sweep(name, lead, spec, *rest)
             kind = MeanKind(lead[0])
             if kind not in kinds:
@@ -452,7 +465,7 @@ def check_updating(kind: MeanKind, sub: GenSpec) -> float:
     """
     t = gen_tuple(sub)
     ext = certify(np.concatenate([t.stack, np.eye(sub.dim)[None]]))
-    rhs = _AUXILIARY[kind](sub.k).fn(t)
+    rhs = _AUXILIARY[kind](sub.k)(t)
     return _releq_violation(mean(kind, ext).entries, rhs.entries)
 
 
@@ -487,9 +500,9 @@ def check_jensen_contraction(F: RegularMap, sub: GenSpec) -> float:
     """
     t = gen_tuple(sub)
     c = _contraction(sub)
-    lhs = congruence_arr(c, F.fn(t).entries)
+    lhs = congruence_arr(c, F(t).entries)
     conj = certify(congruence_arr(c, t.stack))
-    return _loewner_violation(lhs, F.fn(conj).entries)
+    return _loewner_violation(lhs, F(conj).entries)
 
 
 @_check(_AUXILIARY)
@@ -503,10 +516,10 @@ def check_jensen_pair(F: RegularMap, sub: GenSpec) -> float:
     tb = _gen_items(sub, "second")
     x = _contraction(sub)
     y = power_arr(np.eye(sub.dim) - x.T @ x, 0.5)
-    lhs = (congruence_arr(x, F.fn(ta).entries)
-           + congruence_arr(y, F.fn(tb).entries))
+    lhs = (congruence_arr(x, F(ta).entries)
+           + congruence_arr(y, F(tb).entries))
     combo = certify(congruence_arr(x, ta.stack) + congruence_arr(y, tb.stack))
-    return _loewner_violation(lhs, F.fn(combo).entries)
+    return _loewner_violation(lhs, F(combo).entries)
 
 
 @_check(_ALL_KINDS)
@@ -559,8 +572,8 @@ def check_karcher_residual(sub: GenSpec) -> float:
 CHECK_NAMES = tuple(_REGISTRY)
 
 
-def iter_suite(suite: Sequence[str], spec: GenSpec, trials: int = 100,
-               tol: float = 1e-8,
+def iter_suite(suite: Sequence[str], spec: GenSpec, trials: int = DEFAULT_TRIALS,
+               tol: float = DEFAULT_TOL,
                kinds: Sequence[MeanKind | str] | None = None
                ) -> Iterator[CheckReport]:
     """Run the named checks, yielding each report as its check finishes.
@@ -568,8 +581,15 @@ def iter_suite(suite: Sequence[str], spec: GenSpec, trials: int = 100,
     Kind-dependent checks are fanned over ``kinds`` and skipped for kinds
     they do not apply to (e.g. the determinant identity for the arithmetic
     mean), so restricting ``kinds`` narrows the suite. Unknown check names
-    raise ``ValueError`` before any check runs.
+    raise ``ValueError``, and a ``spec`` that is not a :class:`GenSpec` or a
+    bare ``str`` for ``suite`` or ``kinds`` raises ``TypeError``, before any
+    check runs.
     """
+    expect("iter_suite", GenSpec, spec)
+    for what, names in (("suite", suite), ("kinds", kinds)):
+        if isinstance(names, str):
+            raise TypeError(f"iter_suite: {what} must be a sequence of names, "
+                            f"got str {names!r}")
     unknown = [n for n in suite if n not in _REGISTRY]
     if unknown:
         raise ValueError(f"unknown check name(s) {unknown}; "
@@ -585,8 +605,8 @@ def iter_suite(suite: Sequence[str], spec: GenSpec, trials: int = 100,
                     yield fn(kd, spec, trials, tol)
 
 
-def run_suite(suite: Sequence[str], spec: GenSpec, trials: int = 100,
-              tol: float = 1e-8,
+def run_suite(suite: Sequence[str], spec: GenSpec, trials: int = DEFAULT_TRIALS,
+              tol: float = DEFAULT_TOL,
               kinds: Sequence[MeanKind | str] | None = None) -> list[CheckReport]:
     """Run the named checks and return their reports; see :func:`iter_suite`."""
     return list(iter_suite(suite, spec, trials, tol, kinds))

@@ -32,6 +32,7 @@ other computed result is a checked ``SymMatrix`` or ``certify``'s.
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -118,6 +119,13 @@ def expect(what: str, cls: type, *values) -> None:
         if not isinstance(value, cls):
             raise TypeError(f"{what}: expected {cls.__name__}, "
                             f"got {type(value).__name__}")
+
+
+def is_integer(value) -> bool:
+    """The package's integer rule: a ``numbers.Integral`` that is not a
+    ``bool``, numpy integers included; callers store it as ``int``."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def _square_float_array(values) -> np.ndarray:
@@ -419,10 +427,15 @@ def power(A: SpdMatrix, p: float) -> SpdMatrix:
     """Matrix power ``A**p`` for real ``p`` via the functional calculus.
 
     The result is certified by :func:`certify`: its witness is the smallest
-    eigenvalue of the stored entries.
+    eigenvalue of the stored entries. A power out of float64 range is a
+    ``DomainError``, as in :func:`exp_m`.
     """
     expect("power", SymMatrix, A)
-    return certify(power_arr(A.entries, p)[None])[0]
+    # w**p may overflow, and inf * 0 in the rebuild is NaN; certify's
+    # finiteness check turns either into the DomainError
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = power_arr(A.entries, p)
+    return certify(a[None])[0]
 
 
 def sqrt(A: SpdMatrix) -> SpdMatrix:
@@ -465,10 +478,14 @@ def congruence(C, A: SymMatrix) -> SymMatrix:
     """Congruence transform ``C^T A C``, exactly symmetrized.
 
     ``C`` is any square array-like with finite entries (no symmetry
-    required) of the same dimension as ``A``.
+    required) of the same dimension as ``A``. A result out of float64 range
+    is a ``DomainError``, as in :func:`exp_m`.
     """
     expect("congruence", SymMatrix, A)
     c = _square_float_array(C)
     if c.shape[0] != A.dim:
         raise ShapeError(f"dimension mismatch: C is {c.shape[0]}, A is {A.dim}")
-    return SymMatrix(congruence_arr(c, A.entries))
+    # the products may overflow; SymMatrix's finiteness check raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = congruence_arr(c, A.entries)
+    return SymMatrix(a)

@@ -36,7 +36,9 @@ through the one private ``_mean``: it raises ``TypeError`` for anything but
 an ``SpdTuple``, returns a one-item tuple's item and certifies the rest.
 That type gate, :func:`spdmeans.kernel.expect`, is the one the other public
 operations and the kernel's use too, so a list or an array given for a
-tuple or a matrix is a ``TypeError`` that names its type.
+tuple or a matrix is a ``TypeError`` that names its type, and so is a
+solver ``cfg`` that is not a :class:`SolverConfig`, a map that is not a
+:class:`RegularMap`, or a map's result that is not a ``SymMatrix``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .kernel import (
     exp_arr,
     expect,
     inv_arr,
+    is_integer,
     power,
     power_arr,
     rebuild,
@@ -114,15 +117,17 @@ class SolverConfig:
         if not 1e-14 <= self.residual_tol < math.inf:
             raise ValueError(
                 f"residual_tol must be finite and >= 1e-14, got {self.residual_tol!r}")
-        if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool):
+        if not is_integer(self.max_iter):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
         if not (1 <= self.max_iter <= 10_000):
             raise ValueError("max_iter must be in [1, 10000]")
 
 
 @dataclass(frozen=True)
 class RegularMap:
-    """A k-variable matrix map, evaluated as ``fn(SpdTuple) -> SymMatrix``.
+    """A k-variable matrix map ``fn(SpdTuple) -> SymMatrix``, evaluated by
+    calling the map, which raises ``TypeError`` for any other result.
 
     Regularity (unitary invariance and the block-diagonal law) is a
     property of the supplied function; it is checked empirically by the
@@ -133,8 +138,16 @@ class RegularMap:
     fn: Callable[[SpdTuple], SymMatrix] = field(repr=False)
 
     def __post_init__(self) -> None:
+        if not is_integer(self.arity):
+            raise ValueError(f"arity must be an integer, got {self.arity!r}")
+        object.__setattr__(self, "arity", int(self.arity))
         if self.arity < 1:
             raise ValueError("arity must be >= 1")
+
+    def __call__(self, t: SpdTuple) -> SymMatrix:
+        out = self.fn(t)
+        expect("RegularMap.fn", SymMatrix, out)
+        return out
 
 
 class ConvergenceError(SpdMeansError):
@@ -387,6 +400,7 @@ def perspective(F: RegularMap, args: SpdTuple, B: SpdMatrix) -> SymMatrix:
     factor equals the root only up to a rotation, and a user's ``F`` need
     not be unitarily invariant.
     """
+    expect("perspective", RegularMap, F)
     expect("perspective", SpdTuple, args)
     expect("perspective", SpdMatrix, B)
     if F.arity != len(args):
@@ -395,7 +409,7 @@ def perspective(F: RegularMap, args: SpdTuple, B: SpdMatrix) -> SymMatrix:
         raise ShapeError(f"dimension mismatch: {args.dim} != {B.dim}")
     bs, bis = sqrt_pair(B.entries)
     conj = certify(congruence_arr(bis, args.stack))
-    return SymMatrix(congruence_arr(bs, F.fn(conj).entries))
+    return SymMatrix(congruence_arr(bs, F(conj).entries))
 
 
 def inductive_mean(t: SpdTuple) -> SpdMatrix:
@@ -496,7 +510,9 @@ def karcher_mean(t: SpdTuple, cfg: SolverConfig | None = None) -> SpdMatrix:
     ``S(X)`` its :func:`karcher_residual` and ``cond`` a bound on the items'
     condition numbers (``tests/test_oracle.py``).
     """
-    return _mean(_karcher_arr, t, SolverConfig() if cfg is None else cfg)
+    cfg = SolverConfig() if cfg is None else cfg
+    expect("karcher_mean", SolverConfig, cfg)
+    return _mean(_karcher_arr, t, cfg)
 
 
 _DISPATCH = {
@@ -511,12 +527,15 @@ def mean(kind: MeanKind | str, t: SpdTuple,
          cfg: SolverConfig | None = None) -> SpdMatrix:
     """Dispatch to the mean named by ``kind``.
 
-    ``cfg`` is honored by the Karcher solver and ignored by the closed-form
-    kinds. Every kind goes through its public function to ``_mean``, so it
-    raises ``TypeError`` for anything but an ``SpdTuple``, returns the item
+    ``cfg``, ``None`` or a :class:`SolverConfig` (else ``TypeError``), is
+    honored by the Karcher solver and ignored by the closed-form kinds.
+    Every kind goes through its public function to ``_mean``, so it raises
+    ``TypeError`` for anything but an ``SpdTuple``, returns the item
     ``t[0]`` of a single-element tuple and otherwise the certified mean.
     """
     kind = MeanKind(kind)
+    if cfg is not None:
+        expect("mean", SolverConfig, cfg)
     if kind is MeanKind.KARCHER:
         return karcher_mean(t, cfg)
     return _DISPATCH[kind](t)

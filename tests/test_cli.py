@@ -9,15 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdmeans import (ConvergenceError, GenSpec, MeanKind, SpdMatrix, SpdTuple,
-                      gen_tuple, mean)
+from spdmeans import (ConvergenceError, GenSpec, MeanKind, SolverConfig, SpdMatrix,
+                      SpdTuple, gen_tuple, mean)
 from spdmeans.cli import (
     InputError,
     MatrixFile,
+    build_parser,
     main,
     parse_matrix_text,
     render_matrix_file,
 )
+from spdmeans.harness import DEFAULT_TOL, DEFAULT_TRIALS
 
 
 def run(args, capsys):
@@ -109,6 +111,24 @@ def test_parse_rejects_malformed_input():
         assert str(err.value) == message
     with pytest.raises(InputError, match="^unknown format 'yaml'$"):
         render_matrix_file(MatrixFile(dim=1, matrices=[np.eye(1)]), "yaml")
+
+
+# -- defaults ------------------------------------------------------------------
+
+def test_flag_defaults_are_the_librarys():
+    # the CLI states none of the library's defaults: the solver's come from
+    # SolverConfig, the draws' from GenSpec and the sweep's from the harness
+    parser = build_parser()
+    args = parser.parse_args(["mean", "--kind", "karcher", "--input", "x"])
+    assert (args.tol, args.max_iter) == (SolverConfig().residual_tol,
+                                         SolverConfig().max_iter)
+    spec = GenSpec(dim=2, k=2, seed=0)
+    check = parser.parse_args(["check"])
+    gen = parser.parse_args(["gen", "--dim", "2", "--k", "2"])
+    for args in (check, gen):
+        assert (args.cond, args.structure) == (spec.cond_bound, spec.structure)
+        assert args.seed == 42
+    assert (check.trials, check.tol) == (DEFAULT_TRIALS, DEFAULT_TOL)
 
 
 # -- gen -----------------------------------------------------------------------

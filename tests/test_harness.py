@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import inspect
 import math
@@ -413,6 +414,57 @@ def test_jensen_arity_must_match_spec():
     with pytest.raises(ValueError):
         check_jensen_pair(inductive_auxiliary(2),
                           GenSpec(dim=2, k=3, seed=1), trials=1)
+
+
+@pytest.mark.parametrize("spec", [dict(dim=2, k=2, seed=1), None])
+def test_entry_points_name_a_spec_that_is_not_a_genspec(spec):
+    type_name = type(spec).__name__
+    # each public check, by the name of its first parameter
+    heads = {"kind": ("inductive",), "F": (inductive_auxiliary(2),), "spec": ()}
+    calls = [functools.partial(getattr(harness, name), *heads[params[0][0]], spec,
+                               trials=1)
+             for name, params in SIGNATURES.items()]
+    calls += [lambda: gen_tuple(spec), lambda: gen_spd(spec),
+              lambda: run_suite(["two_var"], spec, trials=1),
+              lambda: next(harness.iter_suite(["two_var"], spec, trials=1))]
+    for call in calls:
+        with pytest.raises(TypeError, match=f"expected GenSpec, got {type_name}$"):
+            call()
+
+
+def test_jensen_checks_gate_the_map_and_what_it_returns():
+    spec = GenSpec(dim=2, k=2, seed=1)
+    flat = RegularMap(arity=2, fn=lambda t: t.stack[0])
+    for check in (check_jensen_contraction, check_jensen_pair):
+        with pytest.raises(TypeError, match="expected RegularMap, got function$"):
+            check(inductive_auxiliary(2).fn, spec, trials=1)
+        with pytest.raises(TypeError, match="expected SymMatrix, got ndarray$"):
+            check(flat, spec, trials=1)
+
+
+def test_suite_rejects_a_bare_string_before_any_check_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(harness._REGISTRY, "two_var",
+                        (lambda *args: ran.append(args), None))
+    spec = GenSpec(dim=2, k=2, seed=1)
+    for kwargs, what in [(dict(suite="two_var"), "suite"),
+                         (dict(suite=["two_var"], kinds="inductive"), "kinds")]:
+        with pytest.raises(TypeError, match=f"^iter_suite: {what} must be a sequence"):
+            run_suite(spec=spec, trials=1, **kwargs)
+        with pytest.raises(TypeError, match=f"^iter_suite: {what} must be a sequence"):
+            next(harness.iter_suite(spec=spec, trials=1, **kwargs))
+    assert ran == []
+
+
+def test_numpy_integers_give_the_draws_and_reports_of_their_int_twins():
+    twin = GenSpec(dim=3, k=2, seed=5)
+    spec = GenSpec(dim=np.int64(3), k=np.int32(2), seed=np.uint64(5))
+    assert spec == twin
+    assert all(type(getattr(spec, name)) is int for name in ("dim", "k", "seed"))
+    assert np.array_equal(gen_tuple(spec).stack, gen_tuple(twin).stack)
+    reports = run_suite(["hga", "two_var"], spec, trials=np.int64(2))
+    assert reports == run_suite(["hga", "two_var"], twin, trials=2)
+    assert all(type(r.trials) is int for r in reports)
 
 
 def test_scalar_mean_oracles():

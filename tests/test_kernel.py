@@ -164,6 +164,24 @@ def test_exp_m_overflow_is_a_domain_error():
     assert math.isclose(out.min_eig_witness, math.exp(700.0), rel_tol=1e-15)
 
 
+def test_power_and_congruence_overflow_is_a_domain_error():
+    # as in exp_m: an out-of-range value is left to the finiteness check of
+    # certify or SymMatrix, with no numpy warning first
+    warnings.simplefilter("error")
+    a = SpdMatrix([[2.0, 0.5], [0.5, 1.0]])
+    for call in (lambda: power(a, 2000.0),
+                 lambda: power(a, 900.0),
+                 lambda: power(SpdMatrix(np.diag([2.0, 1.0])), math.inf),
+                 lambda: congruence(1e200 * np.eye(2), a)):
+        with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+            call()
+    # finite results near the limit are returned as before
+    big = 2.0 ** 1000 * np.eye(2)
+    assert np.array_equal(power(SpdMatrix(2.0 * np.eye(2)), 1000.0).entries, big)
+    assert np.array_equal(congruence(2.0 ** 500 * np.eye(2), SpdMatrix(np.eye(2))).entries,
+                          big)
+
+
 def test_finite_results_near_the_float64_limit_stay_finite():
     # halving before adding: the symmetrization of a result with entries
     # above 9e307 must not overflow into "entries must be finite"; nor may

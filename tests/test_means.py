@@ -509,6 +509,8 @@ def test_solver_config_validation():
         SolverConfig(max_iter=2.5)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=True)
+    cfg = SolverConfig(max_iter=np.int64(5))
+    assert cfg == SolverConfig(max_iter=5) and type(cfg.max_iter) is int
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf])
@@ -567,6 +569,13 @@ def test_auxiliary_scalar_case():
 def test_regular_map_validation():
     with pytest.raises(ValueError):
         RegularMap(arity=0, fn=lambda t: t[0])
+    # the integer rule of GenSpec and SolverConfig: numpy integers are
+    # stored as int, floats, bools and strings are rejected
+    for bad in (2.5, True, "2", None):
+        with pytest.raises(ValueError, match="^arity must be an integer, got "):
+            RegularMap(arity=bad, fn=lambda t: t[0])
+    arity = RegularMap(arity=np.int64(2), fn=lambda t: t[0]).arity
+    assert arity == 2 and type(arity) is int
     # the auxiliary maps take their arity check from RegularMap
     for k in (0, -1):
         for auxiliary in (inductive_auxiliary, variant_auxiliary):
@@ -628,6 +637,14 @@ def test_tuple_and_matrix_operations_name_a_wrong_type():
         (lambda: karcher_residual(np.eye(2), pair), "ndarray"),
         (lambda: weighted_geometric_2(np.eye(2), eye, 0.5), "ndarray"),
         (lambda: weighted_geometric_2(eye, [eye], 0.5), "list"),
+        # the solver settings, read by the Karcher kind, gated by every kind
+        (lambda: karcher_mean(pair, 5), "int"),
+        (lambda: mean("karcher", pair, {"max_iter": 5}), "dict"),
+        (lambda: mean("inductive", pair, cfg=5), "int"),
+        # the map, and what the map returns, at its one evaluation
+        (lambda: perspective(lambda t: t[0], pair, eye), "function"),
+        (lambda: perspective(RegularMap(2, lambda t: t.stack[0]), pair, eye), "ndarray"),
+        (lambda: RegularMap(1, lambda t: None)(SpdTuple([eye])), "NoneType"),
     ]
     for call, type_name in calls:
         with pytest.raises(TypeError, match=f"got {type_name}$"):

@@ -87,7 +87,7 @@ def _validate_matrices(dim: int, grids: list, labels) -> MatrixFile:
 
 def _csv_row(line: str) -> list[float]:
     try:
-        return [float(x) for x in line.split(",")]
+        return list(map(float, line.split(",")))
     except ValueError as exc:
         raise InputError(f"bad CSV row {line!r}") from exc
 
@@ -247,10 +247,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 _COMMANDS = {"mean": cmd_mean, "check": cmd_check, "gen": cmd_gen}
 
+# main's parser, kept: building the tree costs about twenty times what
+# parsing with it does
+_PARSER: argparse.ArgumentParser | None = None
+
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a package, value or OS error it raises exits 2."""
-    args = build_parser().parse_args(argv)
+    """Run one command; a package, value or OS error it raises exits 2.
+
+    The parser is built once per process, at the first call, so its flag
+    defaults are the library's at that moment; each call parses into a
+    fresh namespace.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (SpdMeansError, ValueError, OSError) as exc:

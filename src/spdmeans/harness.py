@@ -58,7 +58,7 @@ import numpy as np
 
 from .kernel import (SpdMatrix, SpdMeansError, SpdTuple, certify, congruence_arr,
                      eigvalsh, expect, haar_arr, inv_arr, inverse, is_integer,
-                     power_arr, rebuild)
+                     is_real, power_arr, rebuild)
 from .means import (ConvergenceError, MeanKind, RegularMap, arithmetic_mean,
                     harmonic_mean, inductive_auxiliary, inductive_mean,
                     karcher_mean, karcher_residual, mean, variant_auxiliary,
@@ -124,8 +124,9 @@ class GenSpec:
             raise ValueError("k must be >= 1")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if not (1.0 <= self.cond_bound <= 1e6):
+        if not is_real(self.cond_bound) or not 1.0 <= self.cond_bound <= 1e6:
             raise ValueError("cond_bound must be in [1, 1e6]")
+        object.__setattr__(self, "cond_bound", float(self.cond_bound))
         if self.structure not in STRUCTURES:
             raise ValueError(f"structure must be one of {STRUCTURES}")
         if self.structure == "block" and self.dim < 2:
@@ -283,8 +284,9 @@ def _sweep(name: str, spec: GenSpec, trials: int, tol: float,
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     trials = int(trials)
-    if not 0.0 <= tol < math.inf:
+    if not is_real(tol) or not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    tol = float(tol)
     worst = -math.inf
     worst_seed = spec.seed
     failures = 0
@@ -476,9 +478,12 @@ def check_block_regularity(kind: MeanKind, sub: GenSpec,
 
     ``block_sizes`` overrides the default even split of ``spec.dim``.
     """
-    d1, d2 = block_sizes if block_sizes is not None else _block_sizes(sub.dim)
-    if d1 < 1 or d2 < 1 or d1 + d2 != sub.dim:
-        raise ValueError(f"block sizes {d1}+{d2} do not partition dim {sub.dim}")
+    sizes = _block_sizes(sub.dim) if block_sizes is None else block_sizes
+    if not (isinstance(sizes, (tuple, list)) and len(sizes) == 2
+            and all(is_integer(d) and d >= 1 for d in sizes) and sum(sizes) == sub.dim):
+        raise ValueError(f"block_sizes must be two integers >= 1 summing to dim "
+                         f"{sub.dim}, got {sizes!r}")
+    d1, d2 = map(int, sizes)
     xs, ys, full = _block_parts(sub, d1, d2)
     oracle = _assemble_block(mean(kind, xs).entries, mean(kind, ys).entries)
     return _releq_violation(mean(kind, full).entries, oracle)

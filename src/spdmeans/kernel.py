@@ -128,6 +128,13 @@ def is_integer(value) -> bool:
                                   and not isinstance(value, bool))
 
 
+def is_real(value) -> bool:
+    """The package's real-number rule: a ``numbers.Real`` that is not a
+    ``bool``, numpy scalars included; callers store it as ``float``."""
+    return type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool))
+
+
 def _square_float_array(values) -> np.ndarray:
     # The input gate of every array-like argument: square, nonempty, finite.
     try:

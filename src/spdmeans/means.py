@@ -64,6 +64,7 @@ from .kernel import (
     expect,
     inv_arr,
     is_integer,
+    is_real,
     power,
     power_arr,
     rebuild,
@@ -114,9 +115,10 @@ class SolverConfig:
     max_iter: int = 500
 
     def __post_init__(self) -> None:
-        if not 1e-14 <= self.residual_tol < math.inf:
+        if not is_real(self.residual_tol) or not 1e-14 <= self.residual_tol < math.inf:
             raise ValueError(
                 f"residual_tol must be finite and >= 1e-14, got {self.residual_tol!r}")
+        object.__setattr__(self, "residual_tol", float(self.residual_tol))
         if not is_integer(self.max_iter):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         object.__setattr__(self, "max_iter", int(self.max_iter))
@@ -381,8 +383,9 @@ def weighted_geometric_2(A: SpdMatrix, B: SpdMatrix, t: float) -> SpdMatrix:
     expect("weighted_geometric_2", SpdMatrix, A, B)
     if A.dim != B.dim:
         raise ShapeError(f"dimension mismatch: {A.dim} != {B.dim}")
-    if not 0.0 <= t <= 1.0:
+    if not is_real(t) or not 0.0 <= t <= 1.0:
         raise ValueError(f"t must be in [0, 1], got {t!r}")
+    t = float(t)
     if t == 0.0:
         return A
     if t == 1.0:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spdmeans.cli as cli
 from spdmeans import (ConvergenceError, GenSpec, MeanKind, SolverConfig, SpdMatrix,
                       SpdTuple, gen_tuple, mean)
 from spdmeans.cli import (
@@ -129,6 +130,63 @@ def test_flag_defaults_are_the_librarys():
         assert (args.cond, args.structure) == (spec.cond_bound, spec.structure)
         assert args.seed == 42
     assert (check.trials, check.tol) == (DEFAULT_TRIALS, DEFAULT_TOL)
+
+
+# -- one parser per process ------------------------------------------------------
+
+def test_importing_the_cli_builds_no_parser():
+    # count every ArgumentParser made while the module loads, in a fresh process
+    code = ("import argparse\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **kw):\n"
+            "    made.append(1)\n"
+            "    init(self, *a, **kw)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import spdmeans.cli\n"
+            "assert not made and spdmeans.cli._PARSER is None, made\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    path = tmp_path / "t.json"
+    assert main(["gen", "--dim", "2", "--k", "2", "--output", str(path)]) == 0
+    for kind in ("arithmetic", "harmonic"):
+        assert run(["mean", "--kind", kind, "--input", str(path)], capsys)[0] == 0
+    assert len(builds) == 1
+    # build_parser itself still makes a new parser per call
+    assert build_parser() is not build_parser()
+
+
+def test_consecutive_main_calls_are_independent(tmp_path, capsys, monkeypatch):
+    tols = []
+
+    def recording_mean(kind, t, cfg):
+        tols.append(cfg.residual_tol)
+        return mean(kind, t, cfg)
+
+    monkeypatch.setattr(cli, "mean", recording_mean)
+    path = tmp_path / "t.json"
+    assert main(["gen", "--dim", "2", "--k", "3", "--output", str(path)]) == 0
+    argv = ["mean", "--kind", "karcher", "--input", str(path)]
+    assert run(argv + ["--tol", "1e-6"], capsys)[0] == 0
+    assert run(argv, capsys)[0] == 0
+    assert tols == [1e-6, SolverConfig.residual_tol]
+    # an argparse exit leaves nothing behind for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["mean", "--input", str(path)])
+    assert exc.value.code == 2
+    assert "--kind" in capsys.readouterr().err
+    assert run(argv, capsys)[0] == 0
 
 
 # -- gen -----------------------------------------------------------------------

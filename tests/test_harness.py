@@ -94,6 +94,9 @@ def test_genspec_validation():
         dict(dim=True, k=1, seed=1),
         dict(dim=2, k=True, seed=1),
         dict(dim=2, k=1, seed=False),
+        dict(dim=2, k=1, seed=1, cond_bound=True),
+        dict(dim=2, k=1, seed=1, cond_bound="100"),
+        dict(dim=2, k=1, seed=1, cond_bound=None),
     ):
         with pytest.raises(ValueError):
             GenSpec(**bad)
@@ -232,13 +235,24 @@ def test_a_raising_jensen_trial_names_its_kind(monkeypatch):
     assert report.check_name == "jensen_contraction[inductive]" and report.passed
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+# tol=True used to run as 1.0, so every report passed by a full unit
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8, True, "1e-8", None])
 def test_check_tolerance_must_be_finite_and_nonnegative(tol):
     spec = GenSpec(dim=2, k=2, seed=1)
     with pytest.raises(ValueError, match="tol must be finite and >= 0"):
         check_two_var(spec, trials=1, tol=tol)
     with pytest.raises(ValueError, match="tol must be finite and >= 0"):
         run_suite(["monotone"], spec, trials=1, tol=tol, kinds=["inductive"])
+
+
+def test_real_cond_bounds_give_the_draws_and_reports_of_their_float_twins():
+    twin = GenSpec(dim=3, k=2, seed=5, cond_bound=10.0)
+    for cond in (10, np.float32(10)):
+        spec = GenSpec(dim=3, k=2, seed=5, cond_bound=cond)
+        assert spec == twin and type(spec.cond_bound) is float
+        assert np.array_equal(gen_tuple(spec).stack, gen_tuple(twin).stack)
+        assert (run_suite(["hga", "two_var"], spec, trials=2)
+                == run_suite(["hga", "two_var"], twin, trials=2))
 
 
 def test_nan_violation_fails_its_trial(monkeypatch):
@@ -403,8 +417,16 @@ def test_block_regularity_custom_sizes():
     rep = check_block_regularity("variant", spec, trials=4, tol=1e-8,
                                  block_sizes=(3, 1))
     assert rep.passed
-    with pytest.raises(ValueError):
-        check_block_regularity("variant", spec, trials=2, block_sizes=(2, 1))
+    # anything but two integers >= 1 summing to dim is named as block_sizes,
+    # the default split of dim 1 included
+    for sizes, dim in [((2, 1), 4), (3, 4), ((True, True), 2), ((2, 2.0), 4),
+                       ((1, 1, 2), 4), ((0, 4), 4), ("22", 4), ({1: 3}, 4), (None, 1)]:
+        with pytest.raises(ValueError, match="^block_sizes must be two integers"):
+            check_block_regularity("variant", GenSpec(dim=dim, k=2, seed=10),
+                                   trials=1, block_sizes=sizes)
+    assert (check_block_regularity("variant", spec, trials=4, block_sizes=[3, 1])
+            == check_block_regularity("variant", spec, trials=4,
+                                      block_sizes=(np.int64(3), 1)) == rep)
 
 
 def test_jensen_arity_must_match_spec():

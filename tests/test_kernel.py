@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,15 @@ from spdmeans.kernel import (certify, chol_pair, eigh, eigh_pd, eigvalsh, exp_ar
                              haar_arr, inv_arr, log_arr, power_arr, sqrt_pair)
 
 from helpers import random_spd, rel_err
+
+
+def test_is_real_takes_real_numbers_but_no_bool():
+    for value in (1.5, 2, np.float32(0.5), np.float64(3.0), np.int64(4), Fraction(1, 3),
+                  math.inf, math.nan):
+        assert kernel.is_real(value)
+    for value in (True, np.bool_(False), "1.0", None, 1j, np.array(1.0), [1.0]):
+        assert not kernel.is_real(value)
+    assert "is_real" not in kernel.__all__
 
 
 def test_eigh_two_by_two():

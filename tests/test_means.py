@@ -78,6 +78,12 @@ def test_weighted_geometric_2_validation():
         weighted_geometric_2(a, b, -0.1)
     with pytest.raises(ValueError):
         weighted_geometric_2(a, b, 1.1)
+    # a bool or a string is no weight; a numpy real is one, stored as float
+    for t in (True, False, "0.5"):
+        with pytest.raises(ValueError, match="^t must be in"):
+            weighted_geometric_2(a, b, t)
+    assert np.array_equal(weighted_geometric_2(a, b, np.float32(0.5)).entries,
+                          weighted_geometric_2(a, b, 0.5).entries)
     with pytest.raises(ShapeError):
         weighted_geometric_2(a, random_spd(rng, 4), 0.5)
 
@@ -511,9 +517,13 @@ def test_solver_config_validation():
         SolverConfig(max_iter=True)
     cfg = SolverConfig(max_iter=np.int64(5))
     assert cfg == SolverConfig(max_iter=5) and type(cfg.max_iter) is int
+    for tol in (1, np.float32(1e-8)):
+        cfg = SolverConfig(residual_tol=tol)
+        assert type(cfg.residual_tol) is float and cfg.residual_tol == float(tol)
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf])
+# True would stop the Karcher solver at residual 1
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf, True, "1e-10", None])
 def test_solver_config_rejects_non_finite_residual_tol(tol):
     # an infinite tolerance would stop the Karcher solver at its start
     with pytest.raises(ValueError, match="residual_tol"):

@@ -58,7 +58,7 @@ import numpy as np
 
 from .kernel import (SpdMatrix, SpdMeansError, SpdTuple, certify, congruence_arr,
                      eigvalsh, expect, haar_arr, inv_arr, inverse, is_integer,
-                     is_real, power_arr, rebuild)
+                     is_real, power_arr, real_or_nan, rebuild)
 from .means import (ConvergenceError, MeanKind, RegularMap, arithmetic_mean,
                     harmonic_mean, inductive_auxiliary, inductive_mean,
                     karcher_mean, karcher_residual, mean, variant_auxiliary,
@@ -284,9 +284,9 @@ def _sweep(name: str, spec: GenSpec, trials: int, tol: float,
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     trials = int(trials)
-    if not is_real(tol) or not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    tol = float(tol)
+    given, tol = tol, real_or_nan(tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {given!r}")
     worst = -math.inf
     worst_seed = spec.seed
     failures = 0

@@ -2,9 +2,10 @@
 
 Value types certify their invariants once at construction (exact symmetry,
 finite entries, positive definiteness) and are immutable afterwards. An
-``SpdMatrix`` is a ``SymMatrix`` that also holds its certification witness.
-An ``SpdTuple`` is an ordered tuple of them held as one read-only
-``(k, n, n)`` stack that its items view, the one form the means read.
+``SpdMatrix`` is a ``SymMatrix`` that also holds its certification witness,
+or computes it when first read. An ``SpdTuple`` is an ordered tuple of them
+held as one read-only ``(k, n, n)`` stack that its items view, the one form
+the means read.
 
 Every matrix function goes through the package's one array-level spectral
 core, functions on float64 arrays of shape ``(..., n, n)``, one matrix or a
@@ -14,16 +15,19 @@ rebuilt by matmul, exactly symmetric. Powers, logs, exponentials,
 square-root pairs and congruences are built on it, and the public functions
 wrap the value types around it, behind one type gate, :func:`expect`. The
 core also holds the package's other factorizations, one primitive each:
-the one Cholesky factorization, :func:`chol_pair`, for congruences that
-need some factor ``A = L L^T`` rather than the symmetric root; the one
+the one Cholesky factor, :func:`chol_pair`, for congruences that need
+some factor ``A = L L^T`` rather than the symmetric root; the one
 inverse, :func:`inv_arr`, one LU solve per member, exactly symmetrized,
 about a quarter of an eigendecomposition's cost with the same
 ``cond * eps`` forward error; and the one QR, :func:`haar_arr`, behind the
 harness's Haar bases. So this module is the package's one LAPACK
 boundary: no other module uses ``numpy.linalg`` but for ``norm``. The
 positive-definiteness rule is written once, over a stack, with one floor:
-one stacked eigenvalue solve, each member's smallest eigenvalue above its
-:func:`default_spd_tol`.
+each member's smallest eigenvalue above its :func:`default_spd_tol`. One
+stacked Cholesky factorization of the members, shifted below their floors
+by a stated bound on the rounding errors, certifies them without their
+eigenvalues; where it fails, one stacked eigenvalue solve decides. A
+witness that solve did not compute is computed when first read.
 ``SpdMatrix`` applies it to one matrix and :func:`certify` to a freshly
 computed stack, returning that stack's ``SpdTuple`` with no copy. ``_held``,
 the only caller of ``__new__``, builds every tuple and its items; every
@@ -32,6 +36,7 @@ other computed result is a checked ``SymMatrix`` or ``certify``'s.
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Callable, Iterator, Sequence
 
@@ -88,21 +93,72 @@ class EigenSolverError(SpdMeansError):
     """The symmetric eigensolver failed."""
 
 
+_FLOOR = 1e-12
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
 def default_spd_tol(entries: np.ndarray) -> float | np.ndarray:
     """The positive-definiteness floor, the one certification uses.
 
     Relative to the data, so scaling a matrix scales its floor:
     ``1e-12 * max|entry|``, one floor per member of a stack.
     """
-    return 1e-12 * np.abs(entries).max(axis=(-2, -1))
+    return _FLOOR * np.abs(entries).max(axis=(-2, -1))
 
 
-def _pd_witnesses(stack: np.ndarray) -> list[float]:
-    # The certification rule, written once: each member of a finite
-    # (k, n, n) stack has its smallest eigenvalue above its floor. Written
-    # as "not above" so that a NaN witness fails.
+def _pd_witnesses(stack: np.ndarray) -> list[float | None]:
+    """The certification rule, written once, for a finite ``(k, n, n)`` stack:
+    each member's smallest eigenvalue, by :func:`eigvalsh`, is above its
+    floor ``1e-12 * m``, ``m = max|entry|``. Returns the witness of each
+    member, or ``None`` where it is left to be read later.
+
+    First a sufficient certificate: one stacked Cholesky factorization of
+    each member ``A`` shifted down by the margin ``s = (1e-12 + 4 n^3 eps) m``.
+    If it runs to completion, every member passes the rule, so the
+    witnesses are not computed. With ``u = eps / 2``:
+
+    - the shift rounds ``A - sI`` to ``B``, off by at most ``u (m + s)``
+      on the diagonal;
+    - a Cholesky factor ``R`` of ``B`` that runs to completion satisfies
+      ``R^T R = B + dB``, ``|dB| <= gamma_{n+1} |R^T| |R|`` (Higham, Accuracy
+      and Stability of Numerical Algorithms, 2nd ed., 2002, Thm 10.3).
+      Then ``||dB||_2 <= gamma_{n+1} ||R||_F^2`` and the diagonal of the same
+      bound gives ``||R||_F^2 <= trace(B) / (1 - gamma_{n+1}) <= n m (1 + u)
+      / (1 - gamma_{n+1})``, so ``||dB||_2 <= n (n+1) u m (1 + O(nu))``,
+      about ``n^2 eps m``. ``R`` is nonsingular, so ``R^T R`` is PD and
+      ``lambda_min(A) > s - (n^2 + 1) eps m``;
+    - eigvalsh is backward stable: its smallest eigenvalue is within
+      ``p(n) u ||A||_2 <= p(n) u n m`` of ``lambda_min(A)``, with
+      Householder tridiagonalization's ``p(n) = O(n^2)``. LAPACK states no
+      constant; the margin leaves ``(4 n^3 - n^2 - 1) eps m >= 2 n^3 eps m``
+      for it, which covers ``p(n) <= 4 n^2``, and at n = 1 eigvalsh is exact.
+
+    So a member that passes has an eigvalsh witness above its floor. A NaN
+    pivot passes some LAPACK builds' positivity test, so the last diagonal
+    entry is read too: a NaN or infinite entry anywhere in ``R`` fails a
+    later pivot or makes every later pivot NaN, the last one included. When
+    the factorization fails, or a margin is below the smallest normal
+    float, where underflow's absolute errors void the relative bounds, the
+    rule itself decides: one stacked eigenvalue solve, every witness kept.
+    It is written as "not above" so that a NaN witness fails.
+    """
+    k, n, _ = stack.shape
+    scale = np.abs(stack).max(axis=(1, 2))
+    margin = (_FLOOR + 4.0 * n**3 * _EPS) * scale
+    # small stacks: a reduction over a list is cheaper than numpy's here
+    if min(margin.tolist()) >= _TINY:
+        shifted = stack.copy()
+        shifted.reshape(k, -1)[:, ::n + 1] -= margin[:, None]
+        try:
+            factor = np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if all(d > 0.0 for d in factor[:, -1, -1].tolist()):
+                return [None] * k
     witnesses = eigvalsh(stack)[:, 0]
-    floors = default_spd_tol(stack)
+    floors = _FLOOR * scale
     failed = ~(witnesses > floors)
     if failed.any():
         i = int(failed.argmax())
@@ -133,6 +189,16 @@ def is_real(value) -> bool:
     ``bool``, numpy scalars included; callers store it as ``float``."""
     return type(value) is float or (isinstance(value, numbers.Real)
                                     and not isinstance(value, bool))
+
+
+def real_or_nan(value) -> float:
+    """``value`` as a ``float`` when :func:`is_real` takes it, else NaN,
+    which fails every range check; a real out of float range, such as the
+    integer ``10**400``, is NaN too."""
+    try:
+        return float(value) if is_real(value) else math.nan
+    except OverflowError:
+        return math.nan
 
 
 def _square_float_array(values) -> np.ndarray:
@@ -195,20 +261,31 @@ class SymMatrix:
 class SpdMatrix(SymMatrix):
     """A symmetric matrix certified positive definite.
 
-    ``min_eig_witness`` is the smallest eigenvalue found at certification
-    time; it is strictly above ``default_spd_tol`` of the entries, the one
-    floor. A matrix that fails certification is rejected, never repaired.
-    A ``SymMatrix`` argument, an ``SpdMatrix`` included, is certified as it
+    Its smallest eigenvalue must lie strictly above ``default_spd_tol`` of
+    the entries, the one floor. That is certified as in :func:`certify`: a
+    shifted Cholesky certificate, with the eigenvalue rule deciding the
+    rest. A matrix that fails certification is rejected, never repaired. A
+    ``SymMatrix`` argument, an ``SpdMatrix`` included, is certified as it
     stands.
+
+    ``min_eig_witness``, read-only, is the smallest eigenvalue of the
+    entries by one ``eigvalsh``, always above the floor: the one the
+    eigenvalue rule computed, or else computed when first read and kept.
     """
 
-    __slots__ = ("min_eig_witness",)
+    __slots__ = ("_witness",)
 
-    min_eig_witness: float
+    _witness: float | None
 
     def __init__(self, values) -> None:
         super().__init__(values)
-        self.min_eig_witness = _pd_witnesses(self.entries[None])[0]
+        self._witness = _pd_witnesses(self.entries[None])[0]
+
+    @property
+    def min_eig_witness(self) -> float:
+        if self._witness is None:
+            self._witness = float(eigvalsh(self.entries)[0])
+        return self._witness
 
     def __repr__(self) -> str:
         return f"SpdMatrix(dim={self.dim}, min_eig={self.min_eig_witness:.3e})"
@@ -220,8 +297,8 @@ class SpdTuple:
     Order is significant: the means are not permutation invariant for
     k >= 3. :attr:`stack` is one read-only ``(k, n, n)`` array, built once:
     the items' entries stacked, or from :func:`certify` the certified stack
-    itself. Each item views its slice and carries its witness, so every
-    entry is held once and nothing is certified twice.
+    itself. Each item views its slice and carries its witness, computed or
+    not, so every entry is held once and nothing is certified twice.
     """
 
     __slots__ = ("items", "stack")
@@ -239,7 +316,7 @@ class SpdTuple:
                 raise ShapeError(
                     f"all matrices must share a dimension: {a.dim} != {items[0].dim}")
         t = _held(np.stack([a.entries for a in items]),
-                  [a.min_eig_witness for a in items])
+                  [a._witness for a in items])
         self.items, self.stack = t.items, t.stack
 
     @property
@@ -259,15 +336,16 @@ class SpdTuple:
         return f"SpdTuple(k={len(self.items)}, dim={self.dim})"
 
 
-def _held(stack: np.ndarray, witnesses: list[float]) -> SpdTuple:
+def _held(stack: np.ndarray, witnesses: list[float | None]) -> SpdTuple:
     # The one trusted builder of tuples and items. The caller owns `stack`
-    # (frozen here) and has certified member i with witness i.
+    # (frozen here) and has certified member i with witness i, None where
+    # it is computed when first read.
     stack.setflags(write=False)
     t = object.__new__(SpdTuple)
     t.items = tuple(SpdMatrix.__new__(SpdMatrix) for _ in witnesses)
     t.stack = stack
     for m, a, witness in zip(t.items, stack, witnesses):
-        m.entries, m.min_eig_witness = a, witness
+        m.entries, m._witness = a, witness
     return t
 
 
@@ -390,14 +468,18 @@ def congruence_arr(c: np.ndarray, a: np.ndarray) -> np.ndarray:
 def certify(stack: np.ndarray) -> SpdTuple:
     """Certify each member of a fresh, exactly symmetric ``(k, n, n)`` stack.
 
-    One finiteness check and one eigenvalue solve over the whole stack, then
-    the rule of :class:`SpdMatrix` per member: a smallest eigenvalue above
-    ``default_spd_tol`` of its entries. The first member that fails raises
+    One finiteness check, then the rule of :class:`SpdMatrix` per member,
+    over the whole stack at once. One stacked Cholesky factorization of the
+    members shifted below their floors, ``default_spd_tol`` of their
+    entries, by a bound on the rounding errors certifies them all; if it
+    fails, one stacked eigenvalue solve decides, each member's smallest
+    eigenvalue above its floor. The first member that fails raises
     ``NotPositiveDefiniteError("matrix i: ...")``. Otherwise the result is
     the :class:`SpdTuple` whose ``stack`` is the input and whose item i is
-    an ``SpdMatrix`` viewing slice i, that eigenvalue its witness, built by
-    the same code as ``SpdTuple(items)``, with no second check and no copy.
-    The caller must own ``stack``; it is frozen in place.
+    an ``SpdMatrix`` viewing slice i, built by the same code as
+    ``SpdTuple(items)``, with no second check and no copy. Its witness is
+    that eigenvalue, computed when first read if the eigenvalue solve did
+    not run. The caller must own ``stack``; it is frozen in place.
     """
     if not np.isfinite(stack).all():
         raise DomainError("matrix entries must be finite")

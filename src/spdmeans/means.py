@@ -38,7 +38,8 @@ That type gate, :func:`spdmeans.kernel.expect`, is the one the other public
 operations and the kernel's use too, so a list or an array given for a
 tuple or a matrix is a ``TypeError`` that names its type, and so is a
 solver ``cfg`` that is not a :class:`SolverConfig`, a map that is not a
-:class:`RegularMap`, or a map's result that is not a ``SymMatrix``.
+:class:`RegularMap`, or a map's result that is not a ``SymMatrix``; a
+map's result of another dimension than its arguments' is a ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .kernel import (
     is_real,
     power,
     power_arr,
+    real_or_nan,
     rebuild,
     sqrt_pair,
     sym_part,
@@ -115,10 +117,11 @@ class SolverConfig:
     max_iter: int = 500
 
     def __post_init__(self) -> None:
-        if not is_real(self.residual_tol) or not 1e-14 <= self.residual_tol < math.inf:
+        tol = real_or_nan(self.residual_tol)
+        if not 1e-14 <= tol < math.inf:
             raise ValueError(
                 f"residual_tol must be finite and >= 1e-14, got {self.residual_tol!r}")
-        object.__setattr__(self, "residual_tol", float(self.residual_tol))
+        object.__setattr__(self, "residual_tol", tol)
         if not is_integer(self.max_iter):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         object.__setattr__(self, "max_iter", int(self.max_iter))
@@ -129,7 +132,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class RegularMap:
     """A k-variable matrix map ``fn(SpdTuple) -> SymMatrix``, evaluated by
-    calling the map, which raises ``TypeError`` for any other result.
+    calling the map, which raises ``TypeError`` for any other result and
+    ``ShapeError`` for a result whose dimension is not the arguments'.
 
     Regularity (unitary invariance and the block-diagonal law) is a
     property of the supplied function; it is checked empirically by the
@@ -149,6 +153,9 @@ class RegularMap:
     def __call__(self, t: SpdTuple) -> SymMatrix:
         out = self.fn(t)
         expect("RegularMap.fn", SymMatrix, out)
+        if out.dim != t.dim:
+            raise ShapeError(f"RegularMap.fn: result has dimension {out.dim}, "
+                             f"arguments have {t.dim}")
         return out
 
 

@@ -28,7 +28,7 @@ from spdmeans.harness import (
     check_updating,
     scalar_mean,
 )
-from spdmeans.kernel import NotPositiveDefiniteError, rebuild
+from spdmeans.kernel import NotPositiveDefiniteError, ShapeError, SymMatrix, rebuild
 from spdmeans.means import RegularMap, inductive_auxiliary
 
 
@@ -236,13 +236,22 @@ def test_a_raising_jensen_trial_names_its_kind(monkeypatch):
 
 
 # tol=True used to run as 1.0, so every report passed by a full unit
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8, True, "1e-8", None])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8, True, "1e-8", None,
+                                 10**400, -10**400])
 def test_check_tolerance_must_be_finite_and_nonnegative(tol):
     spec = GenSpec(dim=2, k=2, seed=1)
     with pytest.raises(ValueError, match="tol must be finite and >= 0"):
         check_two_var(spec, trials=1, tol=tol)
     with pytest.raises(ValueError, match="tol must be finite and >= 0"):
         run_suite(["monotone"], spec, trials=1, tol=tol, kinds=["inductive"])
+
+
+def test_a_float32_tolerance_reports_as_its_float_twin():
+    # converted with no RuntimeWarning, which the suite makes an error
+    spec = GenSpec(dim=2, k=2, seed=1)
+    tol = np.float32(1e-8)
+    assert (check_two_var(spec, trials=2, tol=tol)
+            == check_two_var(spec, trials=2, tol=float(tol)))
 
 
 def test_real_cond_bounds_give_the_draws_and_reports_of_their_float_twins():
@@ -462,6 +471,9 @@ def test_jensen_checks_gate_the_map_and_what_it_returns():
             check(inductive_auxiliary(2).fn, spec, trials=1)
         with pytest.raises(TypeError, match="expected SymMatrix, got ndarray$"):
             check(flat, spec, trials=1)
+        with pytest.raises(ShapeError, match="RegularMap.fn: result has dimension 3, "
+                                             "arguments have 2$"):
+            check(RegularMap(arity=2, fn=lambda t: SymMatrix(np.eye(3))), spec, trials=1)
 
 
 def test_suite_rejects_a_bare_string_before_any_check_runs(monkeypatch):

@@ -36,7 +36,7 @@ from spdmeans.harness import _loewner_violation
 from spdmeans.kernel import (certify, chol_pair, eigh, eigh_pd, eigvalsh, exp_arr,
                              haar_arr, inv_arr, log_arr, power_arr, sqrt_pair)
 
-from helpers import random_spd, rel_err
+from helpers import random_orthogonal, random_spd, rel_err
 
 
 def test_is_real_takes_real_numbers_but_no_bool():
@@ -308,12 +308,16 @@ def test_symmetry_gate():
 
 
 def test_nan_witness_is_not_certified(monkeypatch):
-    # the rule reads "above the floor", so a NaN eigenvalue fails it
+    # the rule reads "above the floor", so a NaN eigenvalue fails it. A
+    # smallest eigenvalue just above the floor is below the Cholesky
+    # certificate's margin, so the eigenvalue rule decides it
+    near = np.diag([1.0, 1.0005e-12])
+    assert SpdMatrix(near).min_eig_witness > default_spd_tol(near)
     monkeypatch.setattr(kernel, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
     with pytest.raises(NotPositiveDefiniteError, match="eigenvalue nan"):
-        SpdMatrix(np.eye(2))
+        SpdMatrix(near)
     with pytest.raises(NotPositiveDefiniteError, match="matrix 0"):
-        certify(np.eye(2)[None].copy())
+        certify(near[None].copy())
 
 
 def test_shape_and_domain_rejections():
@@ -353,6 +357,87 @@ def test_spd_certification():
     mixed = np.stack([1e6 * np.eye(2), 1e-6 * np.diag([1.0, 1e-11])])
     for m, a in zip(certify(mixed.copy()), mixed, strict=True):
         assert m.min_eig_witness == SpdMatrix(a).min_eig_witness
+
+
+def eigenvalue_rule(stack):
+    """The eigenvalue rule applied directly: the error text of the first
+    member whose smallest eigenvalue is not above 1e-12 * max|entry|, or
+    None if there is none."""
+    witnesses = np.linalg.eigvalsh(stack)[:, 0]
+    floors = 1e-12 * np.abs(stack).max(axis=(1, 2))
+    for i, (w, floor) in enumerate(zip(witnesses, floors)):
+        if not w > floor:
+            return f"matrix {i}: smallest eigenvalue {w:.6e} not above tolerance {floor:.3e}"
+    return None
+
+
+def certification_error(certify_fn, stack):
+    try:
+        certified = certify_fn(stack)
+    except NotPositiveDefiniteError as exc:
+        return str(exc), None
+    return None, certified
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_the_cholesky_certificate_gives_the_eigenvalue_rules_verdicts_at_its_margins(n):
+    # Smallest eigenvalues at the floor 1e-12 * m and at the certificate's
+    # margin (1e-12 + 4 n^3 eps) * m, each times 1 -+ 1e-3, m = max|entry|,
+    # under Haar rotations, at scales 2^-1000, 1, 2^1000 and a subnormal one
+    rng = np.random.default_rng(1000 + n)
+    eps = np.finfo(float).eps
+    paths = set()
+    for scale in (2.0**-1000, 1.0, 2.0**1000, 2.0**-1060):
+        members = []
+        for _ in range(2):
+            q = random_orthogonal(rng, n)
+            lam = np.logspace(0.0, -3.0, n)
+            base = q * lam @ q.T
+            m = np.abs(base + base.T).max() / 2
+            for level in (1e-12, 1e-12 + 4 * n**3 * eps):
+                for offset in (1 - 1e-3, 1 + 1e-3):
+                    lam[-1] = level * offset * m
+                    a = q * lam @ q.T
+                    members.append((a + a.T) / 2 * scale)
+        for stack in [a[None] for a in members] + [np.stack(members)]:
+            want = eigenvalue_rule(stack)
+            got, certified = certification_error(certify, stack.copy())
+            assert got == want
+            if stack.shape[0] == 1:
+                got, _ = certification_error(SpdMatrix, stack[0])
+                assert got == want
+            if certified is None:
+                continue
+            paths.add(certified[0]._witness is None)
+            witnesses = [m.min_eig_witness for m in certified]
+            assert np.array_equal(witnesses, np.linalg.eigvalsh(stack)[:, 0])
+            assert (np.array(witnesses) > default_spd_tol(stack)).all()
+    # both the certificate and the eigenvalue rule accepted some stacks
+    assert paths == {True, False}
+
+
+def test_the_witness_is_computed_once_when_read_and_is_read_only(monkeypatch):
+    rng = np.random.default_rng(29)
+    stack = np.stack([random_spd(rng, 4).entries for _ in range(3)])
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    certified = certify(stack.copy())
+    assert calls == []
+    # a tuple built from the items passes the unread witnesses through
+    rebuilt = SpdTuple(list(certified))
+    assert calls == []
+    first = certified[1].min_eig_witness
+    assert first == real(stack)[1, 0] and calls == [(4, 4)]
+    assert certified[1].min_eig_witness == first and calls == [(4, 4)]
+    assert rebuilt[1].min_eig_witness == first and len(calls) == 2
+    with pytest.raises(AttributeError):
+        certified[0].min_eig_witness = 1.0
 
 
 def test_spd_tuple_holds_one_frozen_stack():
@@ -494,7 +579,10 @@ def test_eigensolver_failure_is_an_eigen_solver_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    for core in (eigh, eigvalsh, eigh_pd, lambda a: SpdMatrix(a)):
+    # the identity is certified by Cholesky, so its witness is solved for
+    # when read; a near-floor matrix is decided by the eigenvalue rule
+    for core in (eigh, eigvalsh, eigh_pd, lambda a: SpdMatrix(a).min_eig_witness,
+                 lambda a: SpdMatrix(np.diag([1.0, 1.0005e-12]))):
         with pytest.raises(EigenSolverError, match="did not converge"):
             core(np.eye(2))
 

@@ -167,8 +167,8 @@ def test_means_match_defining_recursion(kind):
 def factorizations(monkeypatch):
     """Matrices passed to numpy's Cholesky, inverse and eigh, per function.
 
-    A ``(m, n, n)`` stack counts as m matrices. Certification's
-    ``eigvalsh`` is not counted.
+    A ``(m, n, n)`` stack counts as m matrices, so certifying a result
+    counts one Cholesky.
     """
     counts = dict.fromkeys(("cholesky", "inv", "eigh"), 0)
     for name in counts:
@@ -182,7 +182,8 @@ def factorizations(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3, 5, 8])
 def test_geometric_means_factor_once(factorizations, k):
     # the fold and the variant levels carry one factor: only the first item
-    # of the fold, the last item of the variant, is factored by Cholesky
+    # of the fold, the last item of the variant, is factored by Cholesky,
+    # and certifying the result takes the other
     rng = np.random.default_rng(53)
     t = SpdTuple([random_spd(rng, 4) for _ in range(k)])
     for compute, eighs in (
@@ -191,7 +192,7 @@ def test_geometric_means_factor_once(factorizations, k):
             (lambda t: weighted_geometric_2(t[0], t[-1], 0.3), 1)):
         factorizations.update(cholesky=0, inv=0, eigh=0)
         compute(t)
-        assert factorizations == {"cholesky": 1, "inv": 1, "eigh": eighs}
+        assert factorizations == {"cholesky": 2, "inv": 1, "eigh": eighs}
 
 
 # -- variant mean ------------------------------------------------------------
@@ -520,6 +521,10 @@ def test_solver_config_validation():
     for tol in (1, np.float32(1e-8)):
         cfg = SolverConfig(residual_tol=tol)
         assert type(cfg.residual_tol) is float and cfg.residual_tol == float(tol)
+    # an integer beyond float range is refused like any other bad tolerance
+    for tol in (10**400, -10**400):
+        with pytest.raises(ValueError, match="^residual_tol must be finite"):
+            SolverConfig(residual_tol=tol)
 
 
 # True would stop the Karcher solver at residual 1
@@ -591,6 +596,17 @@ def test_regular_map_validation():
         for auxiliary in (inductive_auxiliary, variant_auxiliary):
             with pytest.raises(ValueError):
                 auxiliary(k)
+
+
+def test_a_map_result_of_another_dimension_is_a_shape_error():
+    # checked where the map is evaluated, before a product can mismatch
+    a = SpdMatrix(np.eye(2))
+    wide = RegularMap(arity=2, fn=lambda t: SymMatrix(np.eye(3)))
+    for call in (lambda: wide(SpdTuple([a, a])),
+                 lambda: perspective(wide, SpdTuple([a, a]), a)):
+        with pytest.raises(ShapeError,
+                           match="^RegularMap.fn: result has dimension 3, arguments have 2$"):
+            call()
 
 
 # -- shared mean behavior ------------------------------------------------------
@@ -726,8 +742,8 @@ def test_updating_rules():
 
 
 def test_harmonic_mean_and_inverse_cost_one_lu_solve_per_stack(monkeypatch):
-    # two stacked inverses and the certification, nothing else: no
-    # Cholesky factor, no eigendecomposition
+    # two stacked inverses and the certification's one Cholesky, nothing
+    # else: no eigendecomposition
     rng = np.random.default_rng(53)
     t = SpdTuple([random_spd(rng, 4) for _ in range(5)])
     counts = dict.fromkeys(("inv", "cholesky", "eigh", "eigvalsh"), 0)
@@ -737,7 +753,7 @@ def test_harmonic_mean_and_inverse_cost_one_lu_solve_per_stack(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     harmonic_mean(t)
-    assert counts == {"inv": 2, "cholesky": 0, "eigh": 0, "eigvalsh": 1}
+    assert counts == {"inv": 2, "cholesky": 1, "eigh": 0, "eigvalsh": 0}
     counts.update(dict.fromkeys(counts, 0))
     inverse(t[0])
-    assert counts == {"inv": 1, "cholesky": 0, "eigh": 0, "eigvalsh": 1}
+    assert counts == {"inv": 1, "cholesky": 1, "eigh": 0, "eigvalsh": 0}

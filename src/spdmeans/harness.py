@@ -36,8 +36,9 @@ and enters it in the suite. The head is one of:
 - a ``kind``, rejected with ``ValueError`` outside ``kinds`` and swept
   under ``<name>[kind]``;
 - a :class:`RegularMap` ``F``, for the two Jensen checks: the public check
-  requires ``F.arity == spec.k`` and sweeps under ``<name>``, and the suite
-  runs it on the auxiliary map of the inductive and variant means, under
+  sweeps under ``<name>``, and ``F`` itself rejects a tuple of other than
+  ``F.arity`` items, so ``F.arity`` must be ``spec.k``; the suite runs it
+  on the auxiliary map of the inductive and variant means, under
   ``<name>[kind]``.
 
 A public check raises ``TypeError`` unless ``spec`` is a :class:`GenSpec`
@@ -358,9 +359,6 @@ def _check(kinds: Collection[MeanKind] | None) -> Callable:
             if not isinstance(kinds, tuple):
                 if lead:
                     expect(trial.__name__, RegularMap, lead[0])
-                    if lead[0].arity != spec.k:
-                        raise ValueError(f"map arity {lead[0].arity} does not "
-                                         f"match spec.k {spec.k}")
                 return sweep(name, lead, spec, *rest)
             kind = MeanKind(lead[0])
             if kind not in kinds:

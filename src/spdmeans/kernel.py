@@ -2,10 +2,10 @@
 
 Value types certify their invariants once at construction (exact symmetry,
 finite entries, positive definiteness) and are immutable afterwards. An
-``SpdMatrix`` is a ``SymMatrix`` that also holds its certification witness,
-or computes it when first read. An ``SpdTuple`` is an ordered tuple of them
-held as one read-only ``(k, n, n)`` stack that its items view, the one form
-the means read.
+``SpdMatrix`` is a ``SymMatrix`` that passed certification; it stores its
+entries alone. An ``SpdTuple`` is an ordered tuple of them held as one
+read-only ``(k, n, n)`` stack that its items view, the one form the means
+read.
 
 Every matrix function goes through the package's one array-level spectral
 core, functions on float64 arrays of shape ``(..., n, n)``, one matrix or a
@@ -26,12 +26,12 @@ positive-definiteness rule is written once, over a stack, with one floor:
 each member's smallest eigenvalue above its :func:`default_spd_tol`. One
 stacked Cholesky factorization of the members, shifted below their floors
 by a stated bound on the rounding errors, certifies them without their
-eigenvalues; where it fails, one stacked eigenvalue solve decides. A
-witness that solve did not compute is computed when first read.
-``SpdMatrix`` applies it to one matrix and :func:`certify` to a freshly
-computed stack, returning that stack's ``SpdTuple`` with no copy. ``_held``,
-the only caller of ``__new__``, builds every tuple and its items; every
-other computed result is a checked ``SymMatrix`` or ``certify``'s.
+eigenvalues; where it fails, one stacked eigenvalue solve decides.
+Certification only decides: it keeps no eigenvalue. ``SpdMatrix`` applies
+it to one matrix and :func:`certify` to a freshly computed stack, returning
+that stack's ``SpdTuple`` with no copy. ``_held``, the only caller of
+``__new__``, builds every tuple and its items; every other computed result
+is a checked ``SymMatrix`` or ``certify``'s.
 """
 
 from __future__ import annotations
@@ -107,16 +107,17 @@ def default_spd_tol(entries: np.ndarray) -> float | np.ndarray:
     return _FLOOR * np.abs(entries).max(axis=(-2, -1))
 
 
-def _pd_witnesses(stack: np.ndarray) -> list[float | None]:
+def _check_pd(stack: np.ndarray) -> None:
     """The certification rule, written once, for a finite ``(k, n, n)`` stack:
     each member's smallest eigenvalue, by :func:`eigvalsh`, is above its
-    floor ``1e-12 * m``, ``m = max|entry|``. Returns the witness of each
-    member, or ``None`` where it is left to be read later.
+    floor, :func:`default_spd_tol` of its entries, ``1e-12 * m`` with
+    ``m = max|entry|``. Raises ``NotPositiveDefiniteError`` naming the first
+    member that fails; returns nothing.
 
     First a sufficient certificate: one stacked Cholesky factorization of
     each member ``A`` shifted down by the margin ``s = (1e-12 + 4 n^3 eps) m``.
-    If it runs to completion, every member passes the rule, so the
-    witnesses are not computed. With ``u = eps / 2``:
+    If it runs to completion, every member passes the rule. With
+    ``u = eps / 2``:
 
     - the shift rounds ``A - sI`` to ``B``, off by at most ``u (m + s)``
       on the diagonal;
@@ -134,18 +135,17 @@ def _pd_witnesses(stack: np.ndarray) -> list[float | None]:
       constant; the margin leaves ``(4 n^3 - n^2 - 1) eps m >= 2 n^3 eps m``
       for it, which covers ``p(n) <= 4 n^2``, and at n = 1 eigvalsh is exact.
 
-    So a member that passes has an eigvalsh witness above its floor. A NaN
-    pivot passes some LAPACK builds' positivity test, so the last diagonal
-    entry is read too: a NaN or infinite entry anywhere in ``R`` fails a
-    later pivot or makes every later pivot NaN, the last one included. When
-    the factorization fails, or a margin is below the smallest normal
-    float, where underflow's absolute errors void the relative bounds, the
-    rule itself decides: one stacked eigenvalue solve, every witness kept.
-    It is written as "not above" so that a NaN witness fails.
+    So a member that passes has an eigvalsh smallest eigenvalue above its
+    floor. A NaN pivot passes some LAPACK builds' positivity test, so the
+    last diagonal entry is read too: a NaN or infinite entry anywhere in
+    ``R`` fails a later pivot or makes every later pivot NaN, the last one
+    included. When the factorization fails, or a margin is below the
+    smallest normal float, where underflow's absolute errors void the
+    relative bounds, the rule itself decides: one stacked eigenvalue solve.
+    It is written as "not above" so that a NaN eigenvalue fails.
     """
     k, n, _ = stack.shape
-    scale = np.abs(stack).max(axis=(1, 2))
-    margin = (_FLOOR + 4.0 * n**3 * _EPS) * scale
+    margin = (_FLOOR + 4.0 * n**3 * _EPS) * np.abs(stack).max(axis=(1, 2))
     # small stacks: a reduction over a list is cheaper than numpy's here
     if min(margin.tolist()) >= _TINY:
         shifted = stack.copy()
@@ -156,16 +156,15 @@ def _pd_witnesses(stack: np.ndarray) -> list[float | None]:
             pass
         else:
             if all(d > 0.0 for d in factor[:, -1, -1].tolist()):
-                return [None] * k
-    witnesses = eigvalsh(stack)[:, 0]
-    floors = _FLOOR * scale
-    failed = ~(witnesses > floors)
+                return
+    lowest = eigvalsh(stack)[:, 0]
+    floors = default_spd_tol(stack)
+    failed = ~(lowest > floors)
     if failed.any():
         i = int(failed.argmax())
         raise NotPositiveDefiniteError(
-            f"matrix {i}: smallest eigenvalue {witnesses[i]:.6e}"
+            f"matrix {i}: smallest eigenvalue {lowest[i]:.6e}"
             f" not above tolerance {floors[i]:.3e}")
-    return witnesses.tolist()
 
 
 def expect(what: str, cls: type, *values) -> None:
@@ -269,23 +268,19 @@ class SpdMatrix(SymMatrix):
     stands.
 
     ``min_eig_witness``, read-only, is the smallest eigenvalue of the
-    entries by one ``eigvalsh``, always above the floor: the one the
-    eigenvalue rule computed, or else computed when first read and kept.
+    entries, always above the floor, computed by one ``eigvalsh`` on each
+    read.
     """
 
-    __slots__ = ("_witness",)
-
-    _witness: float | None
+    __slots__ = ()
 
     def __init__(self, values) -> None:
         super().__init__(values)
-        self._witness = _pd_witnesses(self.entries[None])[0]
+        _check_pd(self.entries[None])
 
     @property
     def min_eig_witness(self) -> float:
-        if self._witness is None:
-            self._witness = float(eigvalsh(self.entries)[0])
-        return self._witness
+        return float(eigvalsh(self.entries)[0])
 
     def __repr__(self) -> str:
         return f"SpdMatrix(dim={self.dim}, min_eig={self.min_eig_witness:.3e})"
@@ -297,8 +292,8 @@ class SpdTuple:
     Order is significant: the means are not permutation invariant for
     k >= 3. :attr:`stack` is one read-only ``(k, n, n)`` array, built once:
     the items' entries stacked, or from :func:`certify` the certified stack
-    itself. Each item views its slice and carries its witness, computed or
-    not, so every entry is held once and nothing is certified twice.
+    itself. Each item views its slice, so every entry is held once and
+    nothing is certified twice.
     """
 
     __slots__ = ("items", "stack")
@@ -315,8 +310,7 @@ class SpdTuple:
             if a.dim != items[0].dim:
                 raise ShapeError(
                     f"all matrices must share a dimension: {a.dim} != {items[0].dim}")
-        t = _held(np.stack([a.entries for a in items]),
-                  [a._witness for a in items])
+        t = _held(np.stack([a.entries for a in items]))
         self.items, self.stack = t.items, t.stack
 
     @property
@@ -336,16 +330,15 @@ class SpdTuple:
         return f"SpdTuple(k={len(self.items)}, dim={self.dim})"
 
 
-def _held(stack: np.ndarray, witnesses: list[float | None]) -> SpdTuple:
+def _held(stack: np.ndarray) -> SpdTuple:
     # The one trusted builder of tuples and items. The caller owns `stack`
-    # (frozen here) and has certified member i with witness i, None where
-    # it is computed when first read.
+    # (frozen here) and has certified every member.
     stack.setflags(write=False)
     t = object.__new__(SpdTuple)
-    t.items = tuple(SpdMatrix.__new__(SpdMatrix) for _ in witnesses)
+    t.items = tuple(SpdMatrix.__new__(SpdMatrix) for _ in range(len(stack)))
     t.stack = stack
-    for m, a, witness in zip(t.items, stack, witnesses):
-        m.entries, m._witness = a, witness
+    for m, a in zip(t.items, stack):
+        m.entries = a
     return t
 
 
@@ -477,13 +470,13 @@ def certify(stack: np.ndarray) -> SpdTuple:
     ``NotPositiveDefiniteError("matrix i: ...")``. Otherwise the result is
     the :class:`SpdTuple` whose ``stack`` is the input and whose item i is
     an ``SpdMatrix`` viewing slice i, built by the same code as
-    ``SpdTuple(items)``, with no second check and no copy. Its witness is
-    that eigenvalue, computed when first read if the eigenvalue solve did
-    not run. The caller must own ``stack``; it is frozen in place.
+    ``SpdTuple(items)``, with no second check and no copy. The caller must
+    own ``stack``; it is frozen in place.
     """
     if not np.isfinite(stack).all():
         raise DomainError("matrix entries must be finite")
-    return _held(stack, _pd_witnesses(stack))
+    _check_pd(stack)
+    return _held(stack)
 
 
 def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
@@ -515,15 +508,19 @@ def spectral_apply(A: SpdMatrix, f: Callable[[float], float]) -> SymMatrix:
 def power(A: SpdMatrix, p: float) -> SpdMatrix:
     """Matrix power ``A**p`` for real ``p`` via the functional calculus.
 
-    The result is certified by :func:`certify`: its witness is the smallest
-    eigenvalue of the stored entries. A power out of float64 range is a
-    ``DomainError``, as in :func:`exp_m`.
+    ``p`` must pass the real-number rule, :func:`is_real`, else it is a
+    ``ValueError``; an integer beyond float range is read as NaN, by
+    :func:`real_or_nan`. The result is certified by :func:`certify`. A
+    power out of float64 range, or of a NaN ``p``, is a ``DomainError``, as
+    in :func:`exp_m`.
     """
     expect("power", SymMatrix, A)
+    if not is_real(p):
+        raise ValueError(f"p must be a real number, got {p!r}")
     # w**p may overflow, and inf * 0 in the rebuild is NaN; certify's
     # finiteness check turns either into the DomainError
     with np.errstate(over="ignore", invalid="ignore"):
-        a = power_arr(A.entries, p)
+        a = power_arr(A.entries, real_or_nan(p))
     return certify(a[None])[0]
 
 

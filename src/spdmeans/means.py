@@ -132,8 +132,10 @@ class SolverConfig:
 @dataclass(frozen=True)
 class RegularMap:
     """A k-variable matrix map ``fn(SpdTuple) -> SymMatrix``, evaluated by
-    calling the map, which raises ``TypeError`` for any other result and
-    ``ShapeError`` for a result whose dimension is not the arguments'.
+    calling the map. The call raises ``ValueError`` for a tuple of other
+    than ``arity`` items, before ``fn`` runs, ``TypeError`` for a result
+    that is not a ``SymMatrix`` and ``ShapeError`` for a result whose
+    dimension is not the arguments'.
 
     Regularity (unitary invariance and the block-diagonal law) is a
     property of the supplied function; it is checked empirically by the
@@ -151,6 +153,8 @@ class RegularMap:
             raise ValueError("arity must be >= 1")
 
     def __call__(self, t: SpdTuple) -> SymMatrix:
+        if len(t) != self.arity:
+            raise ValueError(f"map has arity {self.arity}, got {len(t)} arguments")
         out = self.fn(t)
         expect("RegularMap.fn", SymMatrix, out)
         if out.dim != t.dim:
@@ -273,13 +277,19 @@ def _karcher_jacobian(lw: np.ndarray, v: np.ndarray) -> Callable:
     return lambda h: (v @ (c * (vt @ h @ v)) @ vt).sum(axis=0)
 
 
-# CG's relative residual at each Newton step, and its iteration cap. A
-# residual state costs k + 2 eigendecompositions and a CG iteration none, so
-# each Newton system is solved almost exactly. J's condition number kappa is
-# at most the mean over the tuple of (L/2) coth(L/2) at its log spread, about
-# 14 at cond 1e6; the CG bound 2 sqrt(kappa) ((sqrt(kappa) - 1) /
-# (sqrt(kappa) + 1))^m on the relative residual reaches 1e-6 by m = 29
-# (at most 11 seen per step on the bench's library tuples).
+# CG's relative residual at each Newton step, and its iteration cap. Each
+# Newton system is solved almost exactly because loose solves cost more
+# residual states than they save in CG, measured with one BLAS thread on a
+# 2-vCPU x86-64 machine: one J application at (k, n) = (16, 64) takes
+# 0.7-0.9 ms, about two 64x64 eighs, and CG is 29% of Karcher time on the
+# bench's library_large tuples against eigh's 58% (cProfile, seed 1), yet
+# the forcing terms min(0.1, r^e), e = 1, 1.5, 2, raised 27 library_large
+# solves (seeds 1-3) from 141 states and 400 ms to 171-198 states and
+# 519-547 ms. J's condition number kappa is at most the mean over the tuple
+# of (L/2) coth(L/2) at its log spread, about 14 at cond 1e6; the CG bound
+# 2 sqrt(kappa) ((sqrt(kappa) - 1) / (sqrt(kappa) + 1))^m on the relative
+# residual reaches 1e-6 by m = 29 (at most 11 seen per step on the bench's
+# library tuples).
 _CG_RTOL = 1e-6
 _CG_MAX = 50
 
@@ -413,8 +423,6 @@ def perspective(F: RegularMap, args: SpdTuple, B: SpdMatrix) -> SymMatrix:
     expect("perspective", RegularMap, F)
     expect("perspective", SpdTuple, args)
     expect("perspective", SpdMatrix, B)
-    if F.arity != len(args):
-        raise ValueError(f"map has arity {F.arity}, got {len(args)} arguments")
     if args.dim != B.dim:
         raise ShapeError(f"dimension mismatch: {args.dim} != {B.dim}")
     bs, bis = sqrt_pair(B.entries)

@@ -510,3 +510,33 @@ def test_module_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 2
+
+
+# -- the README's examples -----------------------------------------------------
+
+def test_readme_examples_run_and_print_what_they_show(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", readme, re.M | re.S)
+    # the python blocks run in order, in one namespace
+    python = [body for lang, body in blocks if lang == "python"]
+    assert len(python) == 2
+    namespace = {}
+    for body in python:
+        exec(compile(body, "README.md", "exec"), namespace)
+    capsys.readouterr()
+    # each `$ spdmeans ...` line runs in a fresh directory and prints the
+    # lines shown under it, where `...` stands for any lines
+    monkeypatch.chdir(tmp_path)
+    transcript = [body for lang, body in blocks if body.startswith("$ spdmeans ")]
+    assert len(transcript) == 1
+    sessions = re.split(r"^\$ spdmeans ", transcript[0], flags=re.M)[1:]
+    assert len(sessions) == 3
+    for session in sessions:
+        command, *shown = session.strip("\n").split("\n")
+        code = main(command.split())
+        out = capsys.readouterr()
+        shown = [line for line in shown if line]
+        pattern = "".join(r"(?:.*\n)*" if line == "..." else re.escape(line) + "\n"
+                          for line in shown)
+        assert (code, out.err) == (0, "")
+        assert re.fullmatch(pattern, out.out), (command, out.out)

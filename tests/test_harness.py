@@ -439,10 +439,11 @@ def test_block_regularity_custom_sizes():
 
 
 def test_jensen_arity_must_match_spec():
-    with pytest.raises(ValueError):
+    # the map checks its own arity when the trial calls it
+    with pytest.raises(ValueError, match="^map has arity 2, got 3 arguments$"):
         check_jensen_contraction(inductive_auxiliary(2),
                                  GenSpec(dim=2, k=3, seed=1), trials=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^map has arity 2, got 3 arguments$"):
         check_jensen_pair(inductive_auxiliary(2),
                           GenSpec(dim=2, k=3, seed=1), trials=1)
 

@@ -261,7 +261,7 @@ def harness_plumbing(source, filename="<source>"):
 
 
 def test_each_check_is_swept_and_registered_in_one_place():
-    # A check's head gate (kind or map arity), sweep and suite entry are
+    # A check's head gate (kind or map type), sweep and suite entry are
     # written once, by the registering decorator, for every check.
     planted = ("_REGISTRY: dict = {'a': 1}\n"
                "def f():\n"

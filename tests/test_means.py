@@ -568,7 +568,7 @@ def test_perspective_validation():
     rng = np.random.default_rng(45)
     a, b = random_spd(rng, 3), random_spd(rng, 3)
     aux = inductive_auxiliary(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^map has arity 2, got 1 arguments$"):
         perspective(aux, SpdTuple([a]), b)
     with pytest.raises(ShapeError):
         perspective(inductive_auxiliary(1), SpdTuple([a]), random_spd(rng, 2))
@@ -596,6 +596,16 @@ def test_regular_map_validation():
         for auxiliary in (inductive_auxiliary, variant_auxiliary):
             with pytest.raises(ValueError):
                 auxiliary(k)
+    # a map called with another number of arguments rejects them before fn runs
+    a = SpdMatrix(np.eye(2))
+    ran = []
+    pair = RegularMap(arity=2, fn=lambda t: ran.append(t) or t[0])
+    maps = ((pair, 1), (pair, 3), (inductive_auxiliary(2), 3), (variant_auxiliary(3), 1))
+    for F, k in maps:
+        with pytest.raises(ValueError, match=f"^map has arity {F.arity}, got {k} arguments$"):
+            F(SpdTuple([a] * k))
+    assert ran == []
+    assert np.array_equal(pair(SpdTuple([a, a])).entries, a.entries) and len(ran) == 1
 
 
 def test_a_map_result_of_another_dimension_is_a_shape_error():
